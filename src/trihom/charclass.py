@@ -16,20 +16,17 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .exactalg import IntMatrix, Lattice, lattice_intersect, lattice_sum, solve_mod2
+from .exactalg import IntMatrix, Lattice, solve_mod2
 from .surface import (
     Diagram,
     DiagramMatrices,
-    DiagramError,
     PreconditionError,
-    l_lattice,
     l_partial_lattice,
     q_matrix,
     r_matrix,
     require_valid,
     s_matrix,
     to_relative,
-    validate_matrices,
 )
 
 
@@ -47,13 +44,6 @@ class SpinVerdict:
     spin: bool
     witness: tuple[int, ...] | None
     basis: str
-
-
-def _require_matrix_ok(m: DiagramMatrices) -> None:
-    report = validate_matrices(m)
-    if not report.ok:
-        msgs = "; ".join(f"{c.name}: {c.detail}" for c in report.failures())
-        raise DiagramError(f"matrix data rejected: {msgs}")
 
 
 def _special_arcs(d: Diagram) -> list[tuple[int, ...]]:
@@ -87,7 +77,7 @@ def _require_standard_position(d: Diagram) -> None:
                 f"to a basis of its boundary-compatible lattice; the "
                 f"standard-position assertion is inconsistent with the classes"
             )
-    if not lattice_sum(l_lattice(d, "alpha"), l_lattice(d, "beta")).is_saturated():
+    if not d.alpha_beta_sum.is_saturated():
         raise PreconditionError(
             "L_alpha + L_beta is not saturated, which contradicts the "
             "standard-position assertion"
@@ -115,12 +105,11 @@ def _linking_from_q(
 
 def linking_matrix_y(data: Diagram | DiagramMatrices) -> IntMatrix:
     """(g-p) x (g-p) linking matrix of the gamma curves, page route."""
+    require_valid(data)
     if isinstance(data, DiagramMatrices):
-        _require_matrix_ok(data)
         return _linking_from_q(
             r_matrix(data.sig), data.q_gamma_beta, data.q_alpha_gamma, data.q_a_gamma
         )
-    require_valid(data)
     _require_standard_position(data)
     qgb, qag, qa_g = _class_q_data(data)
     return _linking_from_q(r_matrix(data.sig), qgb, qag, qa_g)
@@ -186,9 +175,7 @@ def spin_y(data: Diagram | DiagramMatrices) -> SpinVerdict:
             witness=sol,
             basis="first k1-l alpha curves, then the l page arcs",
         )
-    w = lattice_intersect(
-        l_partial_lattice(data, "alpha"), l_partial_lattice(data, "beta")
-    )
+    w = data.partial_intersection
     m = data.family_matrix("gamma").transpose().mul(w.basis)
     sol = solve_mod2(m, c)
     return SpinVerdict(

@@ -14,7 +14,7 @@ import argparse
 import json
 import sys
 from dataclasses import dataclass
-from typing import Any, Sequence
+from typing import Any, Callable, Sequence
 
 from .charclass import linking_matrix_y, linking_matrix_z, spin_y, spin_z, w2_y, w2_z
 from .exactalg import AbelianGroup, IntMatrix
@@ -35,9 +35,9 @@ from .surface import (
     infer_k,
     j_matrix,
     r_matrix,
+    require_valid,
     s_matrix,
-    validate,
-    validate_matrices,
+    validate,  # noqa: F401 -- perfbench's tracer test wraps trihom.cli.validate
 )
 
 
@@ -204,9 +204,13 @@ def serialize(df: DiagramFile) -> dict:
     return out
 
 
+_NO_CLASSES = "matrix mode carries no curve classes"
+_NEEDS_CLASSES = "this operation needs curve classes; the file is matrix mode"
+
+
 def to_diagram(df: DiagramFile, assert_standard: bool = False) -> Diagram:
     if df.mode != "class":
-        raise PreconditionError("this operation needs curve classes; the file is matrix mode")
+        raise PreconditionError(_NEEDS_CLASSES)
     return Diagram.build(
         df.g, df.p, df.b,
         alpha=df.alpha, beta=df.beta, gamma=df.gamma, k=df.k, arcs=df.arcs,
@@ -231,11 +235,7 @@ def to_matrices(df: DiagramFile) -> DiagramMatrices:
 
 
 # ---------------------------------------------------------------------------
-# report assembly
-
-
-def _matrix_json(m: IntMatrix) -> list[list[int]]:
-    return m.to_rows()
+# the report and its projections
 
 
 def _group_json(gp: AbelianGroup) -> dict:
@@ -269,9 +269,9 @@ def _conventions_json(sig: SurfaceSignature) -> dict:
     return {
         "pairing_curve_curve": "x^T (S^T - S) y",
         "pairing_arc_curve": "a^T x (curve-arc pairing is the negative)",
-        "S": _matrix_json(s_matrix(sig)),
-        "J_equals_St_minus_S": _matrix_json(j_matrix(sig)),
-        "R": _matrix_json(r_matrix(sig)),
+        "S": s_matrix(sig).to_rows(),
+        "J_equals_St_minus_S": j_matrix(sig).to_rows(),
+        "R": r_matrix(sig).to_rows(),
         "anchors": [
             "genus-1, one boundary component: q_matrix([alpha],[gamma]) = [[1]] "
             "for alpha=(1,0), gamma=(1,1)",
@@ -290,6 +290,14 @@ def _sig_json(sig: SurfaceSignature) -> dict:
         "g": sig.g, "p": sig.p, "b": sig.b,
         "n": sig.n, "l": sig.l,
         "curves_per_family": sig.curves_per_family,
+    }
+
+
+def _form_json(form) -> dict:
+    return {
+        "generators_gamma_coordinates": [list(g) for g in form.generators],
+        "matrix": form.matrix.to_rows(),
+        "torsion_invariant_factors": list(form.torsion),
     }
 
 
@@ -313,219 +321,124 @@ def _skip(reason: str) -> dict:
     return {"skipped": reason}
 
 
-_NO_CLASSES = "matrix mode carries no curve classes"
+def _curves(data: Diagram | DiagramMatrices) -> Diagram:
+    """The diagram, for routes that need curve classes."""
+    if isinstance(data, DiagramMatrices):
+        raise PreconditionError(_NO_CLASSES)
+    return data
 
 
-def build_report(df: DiagramFile, assert_standard: bool = False) -> tuple[int, dict]:
-    """Full report over everything computable for this file.
+# each route of the routed sections, as a function of the diagram
+_ROUTES = {
+    "homology": {
+        "y": lambda d: _homology_json(homology_of(build_cy(d))),
+        "z": lambda d: _homology_json(homology_of(build_cz(d))),
+        "closed": lambda d: _homology_json(h_closed_forms(d)),
+    },
+    "linking": {
+        "y": lambda d: linking_matrix_y(d).to_rows(),
+        "z": lambda d: linking_matrix_z(_curves(d)).to_rows(),
+    },
+    "w2": {
+        "y": lambda d: _w2_json(w2_y(d)),
+        "z": lambda d: _w2_json(w2_z(_curves(d))),
+    },
+    "spin": {
+        "y": lambda d: _spin_json(spin_y(d)),
+        "z": lambda d: _spin_json(spin_z(_curves(d))),
+    },
+}
 
-    Unavailable sections are marked skipped with a reason; a failing
-    validation stops the math and exits 1.
+# the report sections each command prints; report prints all of them
+_PROJECTIONS = {
+    "validate": ("mode", "signature", "validation", "k1", "inferred_k"),
+    "homology": ("homology", "inferred_k"),
+    "form": ("intersection_form",),
+    "w2": ("w2",),
+    "spin": ("spin",),
+    "report": ("mode", "signature", "conventions", "validation", "k1", "inferred_k",
+               "homology", "intersection_form", "linking", "w2", "spin"),
+}
+
+
+def _routes_json(section: str, data, routes: Sequence[str], named: bool) -> dict:
+    """The section's result by each of the routes it has among routes.
+
+    A route whose precondition fails is marked skipped with the reason,
+    unless it was asked for by name; then the failure propagates. Homology
+    by several routes also says whether they agree.
     """
-    sig = SurfaceSignature(df.g, df.p, df.b)
-    rep: dict[str, Any] = {
-        "mode": df.mode,
-        "signature": _sig_json(sig),
-        "conventions": _conventions_json(sig),
-    }
+    out: dict[str, Any] = {}
+    for name in routes:
+        if name not in _ROUTES[section]:
+            continue
+        try:
+            out[name] = _ROUTES[section][name](data)
+        except PreconditionError as e:
+            if named:
+                raise
+            out[name] = _skip(str(e))
+    if section == "homology" and len(routes) > 1:
+        done = [r for r in out.values() if "skipped" not in r]
+        out["agree"] = all(r == done[0] for r in done)
+        if not out["agree"]:
+            out["internal_error"] = "homology methods disagree; this is a bug"
+    return out
 
-    if df.mode == "matrix":
-        m = to_matrices(df)
-        vrep = validate_matrices(m)
-        rep["validation"] = _validation_json(vrep)
-        rep["k1"] = m.k1
-        if not vrep.ok:
-            return 1, rep
-        rep["homology"] = _skip(_NO_CLASSES)
-        rep["intersection_form"] = _skip(_NO_CLASSES)
-        rep["linking"] = {"y": _matrix_json(linking_matrix_y(m)), "z": _skip(_NO_CLASSES)}
-        rep["w2"] = {"y": _w2_json(w2_y(m)), "z": _skip(_NO_CLASSES)}
-        rep["spin"] = {"y": _spin_json(spin_y(m)), "z": _skip(_NO_CLASSES)}
-        return 0, rep
 
-    d = to_diagram(df, assert_standard)
-    vrep = validate(d)
-    rep["validation"] = _validation_json(vrep)
-    if not vrep.ok:
+def build_report(
+    df: DiagramFile,
+    assert_standard: bool = False,
+    command: str = "report",
+    complex_choice: str = "all",
+) -> tuple[int, dict]:
+    """Exit code and payload of one command: its sections of the report.
+
+    The report holds everything computable for this file, with unavailable
+    sections and routes marked skipped with a reason. validate and report
+    show a failing validation in the payload and exit 1. The other commands
+    compute only their own sections, and only the routes --complex names;
+    they raise DiagramError on a failing validation and PreconditionError
+    when the file cannot give what they print.
+    """
+    shown = _PROJECTIONS[command]
+    matrix = df.mode == "matrix"
+    if command in ("w2", "spin") and complex_choice == "closed":
+        raise PreconditionError("w2/spin have no closed-form route; use --complex y, z, or all")
+    if matrix and command in ("homology", "form"):
+        raise PreconditionError(_NEEDS_CLASSES)
+    named = command in ("homology", "w2", "spin") and complex_choice != "all"
+    routes = (complex_choice,) if named else ("y", "z", "closed")
+
+    data = to_matrices(df) if matrix else to_diagram(df, assert_standard)
+    if "validation" not in shown:
+        require_valid(data)
+    rep: dict[str, Any] = {}
+
+    def put(section: str, value: Callable[[], Any]) -> None:
+        if section in shown:
+            rep[section] = value()
+
+    put("mode", lambda: df.mode)
+    put("signature", lambda: _sig_json(data.sig))
+    put("conventions", lambda: _conventions_json(data.sig))
+    put("validation", lambda: _validation_json(data.validation))
+    if matrix:
+        put("k1", lambda: data.k1)
+    if not data.validation.ok:
         return 1, rep
-    rep["inferred_k"] = list(infer_k(d))
-
-    homology: dict[str, Any] = {}
-    results: dict[str, HomologyResult] = {}
-    try:
-        results["y"] = homology_of(build_cy(d))
-        homology["y"] = _homology_json(results["y"])
-    except PreconditionError as e:
-        homology["y"] = _skip(str(e))
-    results["z"] = homology_of(build_cz(d))
-    results["closed"] = h_closed_forms(d)
-    homology["z"] = _homology_json(results["z"])
-    homology["closed"] = _homology_json(results["closed"])
-    agree = all(
-        r.groups() == results["closed"].groups() for r in results.values()
-    )
-    homology["agree"] = agree
-    if not agree:
-        homology["internal_error"] = "homology methods disagree; this is a bug"
-    rep["homology"] = homology
-
-    form = intersection_form(d)
-    rep["intersection_form"] = {
-        "generators_gamma_coordinates": [list(g) for g in form.generators],
-        "matrix": _matrix_json(form.matrix),
-        "torsion_invariant_factors": list(form.torsion),
-    }
-
-    linking: dict[str, Any] = {"z": _matrix_json(linking_matrix_z(d))}
-    w2: dict[str, Any] = {"z": _w2_json(w2_z(d))}
-    spin: dict[str, Any] = {"z": _spin_json(spin_z(d))}
-    try:
-        linking["y"] = _matrix_json(linking_matrix_y(d))
-        w2["y"] = _w2_json(w2_y(d))
-        spin["y"] = _spin_json(spin_y(d))
-    except PreconditionError as e:
-        reason = str(e)
-        linking["y"] = _skip(reason)
-        w2["y"] = _skip(reason)
-        spin["y"] = _skip(reason)
-    rep["linking"] = linking
-    rep["w2"] = w2
-    rep["spin"] = spin
+    if matrix:
+        if named and complex_choice == "z":
+            raise PreconditionError(_NO_CLASSES + "; the z route needs class mode")
+        put("homology", lambda: _skip(_NO_CLASSES))
+        put("intersection_form", lambda: _skip(_NO_CLASSES))
+    else:
+        put("inferred_k", lambda: list(infer_k(data)))
+        put("homology", lambda: _routes_json("homology", data, routes, named))
+        put("intersection_form", lambda: _form_json(intersection_form(data)))
+    for section in ("linking", "w2", "spin"):
+        put(section, lambda: _routes_json(section, data, routes, named))
     return 0, rep
-
-
-# ---------------------------------------------------------------------------
-# commands
-
-
-def _run_validate(df: DiagramFile, assert_standard: bool) -> tuple[int, dict]:
-    sig = SurfaceSignature(df.g, df.p, df.b)
-    rep: dict[str, Any] = {"mode": df.mode, "signature": _sig_json(sig)}
-    if df.mode == "matrix":
-        vrep = validate_matrices(to_matrices(df))
-        rep["validation"] = _validation_json(vrep)
-        rep["k1"] = df.k1
-        return (0 if vrep.ok else 1), rep
-    d = to_diagram(df, assert_standard)
-    vrep = validate(d)
-    rep["validation"] = _validation_json(vrep)
-    if vrep.ok:
-        rep["inferred_k"] = list(infer_k(d))
-    return (0 if vrep.ok else 1), rep
-
-
-def _require_class_valid(df: DiagramFile, assert_standard: bool) -> Diagram:
-    d = to_diagram(df, assert_standard)
-    vrep = validate(d)
-    if not vrep.ok:
-        msgs = "; ".join(f"{c.name}: {c.detail}" for c in vrep.failures())
-        raise DiagramError(f"diagram rejected: {msgs}")
-    return d
-
-
-def _run_homology(df: DiagramFile, complex_choice: str, assert_standard: bool) -> tuple[int, dict]:
-    d = _require_class_valid(df, assert_standard)
-    wanted = ("y", "z", "closed") if complex_choice == "all" else (complex_choice,)
-    out: dict[str, Any] = {}
-    results: dict[str, HomologyResult] = {}
-    for name in wanted:
-        if name == "y":
-            results[name] = homology_of(build_cy(d))
-        elif name == "z":
-            results[name] = homology_of(build_cz(d))
-        else:
-            results[name] = h_closed_forms(d)
-        out[name] = _homology_json(results[name])
-    if len(results) > 1:
-        first = next(iter(results.values())).groups()
-        out["agree"] = all(r.groups() == first for r in results.values())
-    return 0, {"homology": out, "inferred_k": list(infer_k(d))}
-
-
-def _run_form(df: DiagramFile, assert_standard: bool) -> tuple[int, dict]:
-    d = _require_class_valid(df, assert_standard)
-    form = intersection_form(d)
-    return 0, {
-        "intersection_form": {
-            "generators_gamma_coordinates": [list(g) for g in form.generators],
-            "matrix": _matrix_json(form.matrix),
-            "torsion_invariant_factors": list(form.torsion),
-        }
-    }
-
-
-def _char_targets(df: DiagramFile, complex_choice: str) -> tuple[str, ...]:
-    if complex_choice == "closed":
-        raise PreconditionError(
-            "w2/spin have no closed-form route; use --complex y, z, or all"
-        )
-    if complex_choice == "all":
-        return ("y", "z")
-    return (complex_choice,)
-
-def _run_w2(df: DiagramFile, complex_choice: str, assert_standard: bool) -> tuple[int, dict]:
-    targets = _char_targets(df, complex_choice)
-    explicit = complex_choice != "all"
-    out: dict[str, Any] = {}
-    if df.mode == "matrix":
-        m = to_matrices(df)
-        _vreject_matrix(m)
-        for t in targets:
-            if t == "y":
-                out["y"] = _w2_json(w2_y(m))
-            elif explicit:
-                raise PreconditionError(_NO_CLASSES + "; the z route needs class mode")
-            else:
-                out["z"] = _skip(_NO_CLASSES)
-        return 0, {"w2": out}
-    d = _require_class_valid(df, assert_standard)
-    for t in targets:
-        if t == "z":
-            out["z"] = _w2_json(w2_z(d))
-            continue
-        try:
-            out["y"] = _w2_json(w2_y(d))
-        except PreconditionError:
-            if explicit:
-                raise
-            out["y"] = _skip("standard-position assertion or matching arcs absent")
-    return 0, {"w2": out}
-
-
-def _run_spin(df: DiagramFile, complex_choice: str, assert_standard: bool) -> tuple[int, dict]:
-    targets = _char_targets(df, complex_choice)
-    explicit = complex_choice != "all"
-    out: dict[str, Any] = {}
-    if df.mode == "matrix":
-        m = to_matrices(df)
-        _vreject_matrix(m)
-        for t in targets:
-            if t == "y":
-                out["y"] = _spin_json(spin_y(m))
-            elif explicit:
-                raise PreconditionError(_NO_CLASSES + "; the z route needs class mode")
-            else:
-                out["z"] = _skip(_NO_CLASSES)
-        return 0, {"spin": out}
-    d = _require_class_valid(df, assert_standard)
-    for t in targets:
-        if t == "z":
-            out["z"] = _spin_json(spin_z(d))
-            continue
-        try:
-            out["y"] = _spin_json(spin_y(d))
-        except PreconditionError:
-            if explicit:
-                raise
-            out["y"] = _skip("standard-position assertion or matching arcs absent")
-    return 0, {"spin": out}
-
-
-def _vreject_matrix(m: DiagramMatrices) -> None:
-    vrep = validate_matrices(m)
-    if not vrep.ok:
-        msgs = "; ".join(f"{c.name}: {c.detail}" for c in vrep.failures())
-        raise DiagramError(f"matrix data rejected: {msgs}")
 
 
 def run(
@@ -538,20 +451,9 @@ def run(
     """Execute one command; returns (exit_code, rendered output)."""
     try:
         df = parse(path)
-        if command == "validate":
-            code, payload = _run_validate(df, assert_standard)
-        elif command == "homology":
-            code, payload = _run_homology(df, complex_choice, assert_standard)
-        elif command == "form":
-            code, payload = _run_form(df, assert_standard)
-        elif command == "w2":
-            code, payload = _run_w2(df, complex_choice, assert_standard)
-        elif command == "spin":
-            code, payload = _run_spin(df, complex_choice, assert_standard)
-        elif command == "report":
-            code, payload = build_report(df, assert_standard)
-        else:
+        if command not in _PROJECTIONS:
             raise ParseError(f"unknown command {command!r}")
+        code, payload = build_report(df, assert_standard, command, complex_choice)
     except ParseError as e:
         return 2, _render_error("parse error", str(e), fmt)
     except DiagramError as e:
@@ -607,10 +509,7 @@ def main(argv: Sequence[str] | None = None) -> int:
         description="Homology, intersection form, w2 and spin existence of a "
         "compact 4-manifold with boundary, from a relative trisection diagram file.",
     )
-    parser.add_argument(
-        "command",
-        choices=["validate", "homology", "form", "w2", "spin", "report"],
-    )
+    parser.add_argument("command", choices=list(_PROJECTIONS))
     parser.add_argument("file", help="diagram file (JSON; schema in the README)")
     parser.add_argument(
         "--complex",

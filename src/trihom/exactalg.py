@@ -97,7 +97,8 @@ class IntMatrix:
     def matvec(self, v: Sequence[int]) -> tuple[int, ...]:
         if len(v) != self.cols:
             raise ValueError(f"vector length {len(v)} != cols {self.cols}")
-        return tuple(sum(self.row(i)[k] * v[k] for k in range(self.cols)) for i in range(self.rows))
+        rows = (self.row(i) for i in range(self.rows))
+        return tuple(sum(a * x for a, x in zip(r, v)) for r in rows)
 
     def hstack(self, other: "IntMatrix") -> "IntMatrix":
         if self.rows != other.rows:

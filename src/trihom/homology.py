@@ -19,6 +19,7 @@ from .exactalg import (
     AbelianGroup,
     IntMatrix,
     Lattice,
+    _snf_with_inverses,
     kernel_basis,
     lattice_intersect,
     lattice_sum,
@@ -29,8 +30,6 @@ from .surface import (
     Diagram,
     PreconditionError,
     intersection_number,
-    l_lattice,
-    l_partial_lattice,
     require_valid,
 )
 
@@ -91,20 +90,16 @@ def build_cy(d: Diagram) -> ChainComplex:
     wrong groups, so a violation raises PreconditionError.
     """
     require_valid(d)
-    la, lb, lg = (l_lattice(d, f) for f in ("alpha", "beta", "gamma"))
-    sum_ab = lattice_sum(la, lb)
-    if not sum_ab.is_saturated():
+    if not d.alpha_beta_sum.is_saturated():
         raise PreconditionError(
             "L_alpha + L_beta is not saturated; no surface diagram produces "
             "this, and the small complex would compute the wrong homology. "
             "Use the large complex or the closed forms."
         )
-    w = lattice_intersect(
-        l_partial_lattice(d, "alpha"), l_partial_lattice(d, "beta")
-    )
+    w = d.partial_intersection
     gam = d.family_matrix("gamma")
-    ag = lattice_intersect(la, lg)
-    bg = lattice_intersect(lb, lg)
+    ag = d.intersections["gamma", "alpha"]
+    bg = d.intersections["beta", "gamma"]
 
     cpf = d.sig.curves_per_family
     cols3 = [
@@ -136,11 +131,7 @@ def build_cz(d: Diagram) -> ChainComplex:
     a = d.family_matrix("alpha")
     b = d.family_matrix("beta")
     g = d.family_matrix("gamma")
-    la, lb, lg = (l_lattice(d, f) for f in ("alpha", "beta", "gamma"))
-
-    ab = lattice_intersect(la, lb)
-    bg = lattice_intersect(lb, lg)
-    ga = lattice_intersect(lg, la)
+    ab, bg, ga = d.intersections.values()
 
     zero = [0] * cpf
     cols3: list[list[int]] = []
@@ -192,17 +183,21 @@ def homology_of(c: ChainComplex) -> HomologyResult:
     return HomologyResult(*groups, source=c.source)
 
 
+def _h2_lattices(d: Diagram) -> tuple[Lattice, Lattice]:
+    """H_2 as (L_gamma cap (L_alpha + L_beta)) over
+    ((L_gamma cap L_alpha) + (L_gamma cap L_beta))."""
+    num = lattice_intersect(d.lattices["gamma"], d.alpha_beta_sum)
+    return num, lattice_sum(d.intersections["gamma", "alpha"], d.intersections["beta", "gamma"])
+
+
 def h_closed_forms(d: Diagram) -> HomologyResult:
     """The four groups straight from lattice arithmetic, no complexes."""
     require_valid(d)
-    n = d.sig.n
-    la, lb, lg = (l_lattice(d, f) for f in ("alpha", "beta", "gamma"))
+    lg = d.lattices["gamma"]
     h0 = AbelianGroup(1)
-    h1 = quotient_presentation(Lattice.standard(n), lattice_sum(lattice_sum(la, lb), lg))
-    num = lattice_intersect(lg, lattice_sum(la, lb))
-    den = lattice_sum(lattice_intersect(lg, la), lattice_intersect(lg, lb))
-    h2 = quotient_presentation(num, den)
-    h3 = AbelianGroup(lattice_intersect(lattice_intersect(la, lb), lg).rank)
+    h1 = quotient_presentation(Lattice.standard(d.sig.n), lattice_sum(d.alpha_beta_sum, lg))
+    h2 = quotient_presentation(*_h2_lattices(d))
+    h3 = AbelianGroup(lattice_intersect(d.intersections["alpha", "beta"], lg).rank)
     return HomologyResult(h0, h1, h2, h3, source="closed")
 
 
@@ -270,11 +265,7 @@ def intersection_form(d: Diagram) -> IntersectionForm:
     surviving free generators.
     """
     require_valid(d)
-    from .exactalg import _snf_with_inverses
-
-    la, lb, lg = (l_lattice(d, f) for f in ("alpha", "beta", "gamma"))
-    num = lattice_intersect(lg, lattice_sum(la, lb))
-    den = lattice_sum(lattice_intersect(lg, la), lattice_intersect(lg, lb))
+    num, den = _h2_lattices(d)
     if num.rank == 0:
         return IntersectionForm((), IntMatrix.zeros(0, 0), ())
 

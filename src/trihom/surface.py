@@ -16,6 +16,7 @@ the genus-1 q_matrix example and the two-handle linking matrix example.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Sequence
 
 from .exactalg import (
@@ -23,7 +24,9 @@ from .exactalg import (
     Lattice,
     is_unimodular,
     lattice_intersect,
+    lattice_sum,
     orthogonal_complement,
+    snf,
 )
 
 
@@ -104,20 +107,6 @@ def r_matrix(sig: SurfaceSignature) -> IntMatrix:
     return IntMatrix.from_rows(rows, cols=m)
 
 
-@dataclass(frozen=True)
-class PairingConventions:
-    """The fixed matrices a signature pins down."""
-
-    n: int
-    S: IntMatrix
-    J: IntMatrix
-    R: IntMatrix
-
-    @classmethod
-    def for_signature(cls, sig: SurfaceSignature) -> "PairingConventions":
-        return cls(n=sig.n, S=s_matrix(sig), J=j_matrix(sig), R=r_matrix(sig))
-
-
 def intersection_number(
     sig: SurfaceSignature,
     x: Sequence[int],
@@ -135,14 +124,19 @@ def intersection_number(
         return sum(a * c for a, c in zip(x, y))
     if y_is_arc:
         return -sum(a * c for a, c in zip(y, x))
-    j = j_matrix(sig)
-    return sum(xi * t for xi, t in zip(x, j.matvec(y)))
+    # x^T J y without J: each handle pair contributes its 2x2 determinant
+    return sum(x[2 * h] * y[2 * h + 1] - x[2 * h + 1] * y[2 * h] for h in range(sig.g))
 
 
 def to_relative(sig: SurfaceSignature, x: Sequence[int]) -> tuple[int, ...]:
     """Image of a curve class in H_1 rel boundary: (S - S^T) x, so that
     <to_relative(x), y> as arc-curve equals <x, y> as curve-curve."""
-    return j_matrix(sig).neg().matvec(x)
+    if len(x) != sig.n:
+        raise ValueError(f"class length must be n={sig.n}")
+    out = [0] * sig.n
+    for h in range(sig.g):
+        out[2 * h], out[2 * h + 1] = -x[2 * h + 1], x[2 * h]
+    return tuple(out)
 
 
 def q_matrix(
@@ -169,6 +163,8 @@ def q_matrix(
 
 
 _FAMILIES = ("alpha", "beta", "gamma")
+# the family pairs behind the handle counts k_1, k_2, k_3
+_PAIRS = (("alpha", "beta"), ("beta", "gamma"), ("gamma", "alpha"))
 
 
 @dataclass(frozen=True)
@@ -181,6 +177,10 @@ class Diagram:
     user's assertion that the alpha/beta pair together with those arcs is
     in the standard configuration; it cannot be verified from classes alone
     and gates the y-route computations.
+
+    The validation report and the lattices every route reads are computed
+    on first use and kept on the diagram, so each is computed once however
+    many routes run.
     """
 
     sig: SurfaceSignature
@@ -234,6 +234,37 @@ class Diagram:
         """Arc system as columns; defaults to the standard dual basis."""
         return self.arcs if self.arcs is not None else IntMatrix.identity(self.sig.n)
 
+    @cached_property
+    def validation(self) -> ValidationReport:
+        """validate(self), computed on first use and kept."""
+        return validate(self)
+
+    @cached_property
+    def lattices(self) -> dict[str, Lattice]:
+        """L_mu for each family mu: the span of its curve classes."""
+        return {f: Lattice.from_matrix_columns(self.family_matrix(f)) for f in _FAMILIES}
+
+    @cached_property
+    def partial_lattices(self) -> dict[str, Lattice]:
+        """L_mu_partial for the two families of the y route, alpha and beta."""
+        rel = IntMatrix.identity(self.sig.n)
+        return {f: orthogonal_complement(self.lattices[f], rel) for f in ("alpha", "beta")}
+
+    @cached_property
+    def partial_intersection(self) -> Lattice:
+        """L_alpha_partial cap L_beta_partial."""
+        return lattice_intersect(self.partial_lattices["alpha"], self.partial_lattices["beta"])
+
+    @cached_property
+    def intersections(self) -> dict[tuple[str, str], Lattice]:
+        """L_mu cap L_nu over the pairs (alpha, beta), (beta, gamma), (gamma, alpha)."""
+        return {(m, n): lattice_intersect(self.lattices[m], self.lattices[n]) for m, n in _PAIRS}
+
+    @cached_property
+    def alpha_beta_sum(self) -> Lattice:
+        """L_alpha + L_beta."""
+        return lattice_sum(self.lattices["alpha"], self.lattices["beta"])
+
 
 @dataclass(frozen=True)
 class DiagramMatrices:
@@ -250,25 +281,28 @@ class DiagramMatrices:
     q_a_gamma: IntMatrix
     q_beta_alpha: IntMatrix | None = None
 
+    @cached_property
+    def validation(self) -> ValidationReport:
+        """validate_matrices(self), computed on first use and kept."""
+        return validate_matrices(self)
+
 
 def l_lattice(d: Diagram, family: str) -> Lattice:
     """Lattice spanned by a family's curve classes in H_1."""
-    return Lattice.from_matrix_columns(d.family_matrix(family))
+    d.family(family)  # rejects an unknown name
+    return d.lattices[family]
 
 
 def l_partial_lattice(d: Diagram, family: str) -> Lattice:
     """Classes in H_1 rel boundary pairing to zero with the whole family."""
-    lat = l_lattice(d, family)
-    return orthogonal_complement(lat, IntMatrix.identity(d.sig.n))
+    if family in d.partial_lattices:
+        return d.partial_lattices[family]
+    return orthogonal_complement(l_lattice(d, family), IntMatrix.identity(d.sig.n))
 
 
 def infer_k(d: Diagram) -> tuple[int, int, int]:
     """k_i = l + rank(L_mu cap L_nu) over the pairs (a,b), (b,g), (g,a)."""
-    l = d.sig.l
-    pairs = (("alpha", "beta"), ("beta", "gamma"), ("gamma", "alpha"))
-    return tuple(
-        l + lattice_intersect(l_lattice(d, m), l_lattice(d, n)).rank for m, n in pairs
-    )
+    return tuple(d.sig.l + lat.rank for lat in d.intersections.values())
 
 
 # ---------------------------------------------------------------------------
@@ -425,9 +459,7 @@ def validate_matrices(m: DiagramMatrices) -> ValidationReport:
     if m.q_beta_alpha is not None and not bad and k_ok:
         # every class in L_beta cap L_alpha pairs to zero against all of
         # alpha, so the pairing matrix loses one rank per intersection class
-        from .exactalg import snf as _snf
-
-        rank = sum(1 for x in _snf(m.q_beta_alpha).D.diagonal() if x != 0)
+        rank = sum(1 for x in snf(m.q_beta_alpha).D.diagonal() if x != 0)
         limit = c - (m.k1 - sig.l)
         checks.append(
             ValidationCheck(
@@ -442,10 +474,11 @@ def validate_matrices(m: DiagramMatrices) -> ValidationReport:
     return ValidationReport(tuple(checks))
 
 
-def require_valid(d: Diagram) -> ValidationReport:
-    """Validate and raise DiagramError on any failure."""
-    report = validate(d)
+def require_valid(d: Diagram | DiagramMatrices) -> ValidationReport:
+    """The validation report of either mode; raises DiagramError on any failure."""
+    report = d.validation
     if not report.ok:
+        what = "matrix data" if isinstance(d, DiagramMatrices) else "diagram"
         msgs = "; ".join(f"{c.name}: {c.detail}" for c in report.failures())
-        raise DiagramError(f"diagram rejected: {msgs}")
+        raise DiagramError(f"{what} rejected: {msgs}")
     return report

@@ -5,7 +5,10 @@ from pathlib import Path
 
 import pytest
 
+from trihom import cli, surface
 from trihom.cli import ParseError, main, parse, parse_obj, run, serialize
+from trihom.exactalg import AbelianGroup, Lattice
+from trihom.homology import HomologyResult
 
 FIXTURES = Path(__file__).parent / "fixtures"
 CLASS_FIXTURE = str(FIXTURES / "punctured_cp2bar.json")
@@ -194,6 +197,34 @@ class TestCommands:
         assert spin["z"]["spin"] is False
 
 
+class TestUnsaturatedAlphaBeta:
+    """L_alpha + L_beta of index 2: the y homology route does not apply."""
+
+    @pytest.fixture
+    def path(self, tmp_path: Path) -> str:
+        return write_json(tmp_path, class_payload(beta=[[1, 2]], gamma=[[0, 1]]))
+
+    def test_all_routes_skip_y(self, path: str) -> None:
+        code, out = run("homology", path, fmt="json")
+        assert code == 0
+        hom = json.loads(out)["homology"]
+        assert "not saturated" in hom["y"]["skipped"]
+        assert hom["agree"] is True
+        assert "internal_error" not in hom
+
+    def test_every_command_matches_the_report(self, path: str) -> None:
+        report = json.loads(run("report", path, fmt="json")[1])
+        for command in ("homology", "w2", "spin"):
+            code, out = run(command, path, fmt="json")
+            assert code == 0
+            assert json.loads(out)[command] == report[command]
+
+    def test_named_y_route_exits_three(self, path: str) -> None:
+        code, out = run("homology", path, complex_choice="y")
+        assert code == 3
+        assert "not saturated" in out
+
+
 class TestReport:
     def test_matrix_mode_goldens(self) -> None:
         code, out = run("report", MATRIX_FIXTURE, fmt="json")
@@ -223,6 +254,49 @@ class TestReport:
         assert conventions["S"] == [[0, 0], [1, 0]]
         assert conventions["J_equals_St_minus_S"] == [[0, 1], [-1, 0]]
         assert "pairing_curve_curve" in conventions
+
+    def test_disagreement_is_flagged(self, monkeypatch) -> None:
+        wrong = AbelianGroup(0)
+        monkeypatch.setattr(
+            cli, "h_closed_forms",
+            lambda d: HomologyResult(wrong, wrong, wrong, wrong, source="closed"),
+        )
+        for command in ("homology", "report"):
+            hom = json.loads(run(command, STANDARD_FIXTURE, fmt="json")[1])["homology"]
+            assert hom["agree"] is False
+            assert hom["internal_error"] == "homology methods disagree; this is a bug"
+
+    def test_report_analyzes_the_diagram_once(self, monkeypatch) -> None:
+        validations = []
+        real_validate = surface.validate
+
+        def counting_validate(d):
+            validations.append(d)
+            return real_validate(d)
+
+        family_matrices = []  # (family, matrix) as handed out
+        real_family_matrix = surface.Diagram.family_matrix
+
+        def recording_family_matrix(d, name):
+            m = real_family_matrix(d, name)
+            family_matrices.append((name, m))
+            return m
+
+        built = []  # the argument of every lattice build
+        real_build = Lattice.from_matrix_columns.__func__
+
+        def recording_build(cls, m):
+            built.append(m)
+            return real_build(cls, m)
+
+        monkeypatch.setattr(surface, "validate", counting_validate)
+        monkeypatch.setattr(surface.Diagram, "family_matrix", recording_family_matrix)
+        monkeypatch.setattr(Lattice, "from_matrix_columns", classmethod(recording_build))
+        assert run("report", CLASS_FIXTURE, fmt="json")[0] == 0
+        assert len(validations) == 1
+        for family in ("alpha", "beta", "gamma"):
+            spans = [m for name, m in family_matrices if name == family]
+            assert sum(any(b is m for b in built) for m in spans) == 1, family
 
     def test_report_is_deterministic(self) -> None:
         for path in (CLASS_FIXTURE, MATRIX_FIXTURE, STANDARD_FIXTURE):

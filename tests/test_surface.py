@@ -1,5 +1,7 @@
 """Surface pairing conventions, diagram construction, and validation."""
 
+import random
+
 import pytest
 
 from trihom.exactalg import IntMatrix
@@ -122,6 +124,22 @@ class TestPairing:
         assert to_relative(TORUS, (1, 0)) == (0, 1)
         assert to_relative(TORUS, (0, 1)) == (-1, 0)
 
+    def test_pairing_matches_the_j_matrix(self) -> None:
+        rng = random.Random(3)
+        sig = SurfaceSignature(3, 1, 3)
+        j = j_matrix(sig)
+        for _ in range(50):
+            x = [rng.randint(-5, 5) for _ in range(sig.n)]
+            y = [rng.randint(-5, 5) for _ in range(sig.n)]
+            assert intersection_number(sig, x, y) == sum(a * b for a, b in zip(x, j.matvec(y)))
+            assert to_relative(sig, x) == j.neg().matvec(x)
+
+    def test_class_lengths_are_checked(self) -> None:
+        with pytest.raises(ValueError, match="n=2"):
+            intersection_number(TORUS, (1, 0, 0), (0, 1))
+        with pytest.raises(ValueError, match="n=2"):
+            to_relative(TORUS, (1,))
+
 
 class TestDiagramLattices:
     def test_curve_span(self) -> None:
@@ -134,6 +152,21 @@ class TestDiagramLattices:
         part = l_partial_lattice(d, "alpha")
         assert part.rank == 1
         assert part.contains((0, 1))
+
+    def test_gamma_boundary_kernel_sublattice(self) -> None:
+        part = l_partial_lattice(torus_diagram(), "gamma")
+        assert part.generators() == ((1, -1),)
+
+    def test_unknown_family(self) -> None:
+        with pytest.raises(ValueError, match="unknown family"):
+            l_lattice(torus_diagram(), "delta")
+
+    def test_derived_data_is_kept_on_the_diagram(self) -> None:
+        d = torsion_diagram()
+        assert l_lattice(d, "beta") is l_lattice(d, "beta")
+        assert d.validation is d.validation
+        assert d.lattices["gamma"] is l_lattice(d, "gamma")
+        assert d == torsion_diagram()  # caches take no part in equality
 
     def test_inferred_handle_counts(self) -> None:
         assert infer_k(torus_diagram()) == (0, 0, 0)
@@ -226,3 +259,8 @@ class TestMatrixModeValidation:
             q_beta_alpha=IntMatrix.from_rows([[1, 0], [0, 1]]),
         )
         assert "matrix_shapes" in [c.name for c in validate_matrices(mats).failures()]
+
+    def test_one_raiser_for_both_modes(self) -> None:
+        assert require_valid(section_six_matrices()).ok
+        with pytest.raises(DiagramError, match="^matrix data rejected: q_beta_alpha_rank"):
+            require_valid(section_six_matrices(k1=2))
