@@ -155,15 +155,18 @@ def w2_z(d: Diagram) -> W2Representative:
     )
 
 
-def spin_y(data: Diagram | DiagramMatrices) -> SpinVerdict:
+def spin_y(
+    data: Diagram | DiagramMatrices, w2: W2Representative | None = None
+) -> SpinVerdict:
     """Spin existence via the page route.
 
     Solves <d, gamma_i> = w2_i mod 2 for d in the intersection of the two
     boundary-compatible lattices. Matrix mode parametrizes that lattice by
     the first k1-l alpha curves and the l page arcs; class mode uses the
-    canonical basis of the computed intersection lattice.
+    canonical basis of the computed intersection lattice. w2, when given,
+    is w2_y(data), already computed.
     """
-    c = w2_y(data).coefficients
+    c = (w2 or w2_y(data)).coefficients
     if isinstance(data, DiagramMatrices):
         sig = data.sig
         head = data.q_alpha_gamma.take_rows(range(data.k1 - sig.l))
@@ -185,12 +188,13 @@ def spin_y(data: Diagram | DiagramMatrices) -> SpinVerdict:
     )
 
 
-def spin_z(d: Diagram) -> SpinVerdict:
+def spin_z(d: Diagram, w2: W2Representative | None = None) -> SpinVerdict:
     """Spin existence via the doubling route.
 
     Solves <d, nu_i> = w2_i mod 2 over all surface-framed rel classes d;
-    the witness is in the dual coordinates f_1..f_n.
+    the witness is in the dual coordinates f_1..f_n. w2, when given, is
+    w2_z(d), already computed.
     """
-    c = w2_z(d).coefficients
+    c = (w2 or w2_z(d)).coefficients
     sol = solve_mod2(_stacked_curve_rows(d), c)
     return SpinVerdict(spin=sol is not None, witness=sol, basis="dual classes f_1..f_n")

@@ -16,7 +16,7 @@ import sys
 from dataclasses import dataclass
 from typing import Any, Callable, Sequence
 
-from .charclass import linking_matrix_y, linking_matrix_z, spin_y, spin_z, w2_y, w2_z
+from .charclass import spin_y, spin_z, w2_y, w2_z
 from .exactalg import AbelianGroup, IntMatrix
 from .homology import (
     HomologyResult,
@@ -328,24 +328,29 @@ def _curves(data: Diagram | DiagramMatrices) -> Diagram:
     return data
 
 
-# each route of the routed sections, as a function of the diagram
+# the w2 representative of each route; its linking matrix and coefficients
+# are what the linking, w2 and spin sections of that route print or read
+_W2 = {"y": w2_y, "z": lambda d: w2_z(_curves(d))}
+
+# each route of the routed sections, as a function of the diagram and of
+# w2(route), the route's w2 representative computed once per report
 _ROUTES = {
     "homology": {
-        "y": lambda d: _homology_json(homology_of(build_cy(d))),
-        "z": lambda d: _homology_json(homology_of(build_cz(d))),
-        "closed": lambda d: _homology_json(h_closed_forms(d)),
+        "y": lambda d, w2: _homology_json(homology_of(build_cy(d))),
+        "z": lambda d, w2: _homology_json(homology_of(build_cz(d))),
+        "closed": lambda d, w2: _homology_json(h_closed_forms(d)),
     },
     "linking": {
-        "y": lambda d: linking_matrix_y(d).to_rows(),
-        "z": lambda d: linking_matrix_z(_curves(d)).to_rows(),
+        "y": lambda d, w2: w2("y").linking.to_rows(),
+        "z": lambda d, w2: w2("z").linking.to_rows(),
     },
     "w2": {
-        "y": lambda d: _w2_json(w2_y(d)),
-        "z": lambda d: _w2_json(w2_z(_curves(d))),
+        "y": lambda d, w2: _w2_json(w2("y")),
+        "z": lambda d, w2: _w2_json(w2("z")),
     },
     "spin": {
-        "y": lambda d: _spin_json(spin_y(d)),
-        "z": lambda d: _spin_json(spin_z(_curves(d))),
+        "y": lambda d, w2: _spin_json(spin_y(d, w2("y"))),
+        "z": lambda d, w2: _spin_json(spin_z(_curves(d), w2("z"))),
     },
 }
 
@@ -361,7 +366,29 @@ _PROJECTIONS = {
 }
 
 
-def _routes_json(section: str, data, routes: Sequence[str], named: bool) -> dict:
+def _once_per_route(compute: Callable[[str], Any]) -> Callable[[str], Any]:
+    """compute, run at most once per route: a later call for the same route
+    returns the first result or raises a PreconditionError with the first
+    one's reason."""
+    # a result, or a PreconditionError's reason as a str; the error itself is
+    # not kept, because its traceback would hold this frame and so the dict
+    # in a cycle that keeps the whole diagram alive until the cyclic GC runs
+    done: dict[str, Any] = {}
+
+    def get(route: str) -> Any:
+        if route not in done:
+            try:
+                done[route] = compute(route)
+            except PreconditionError as e:
+                done[route] = str(e)
+        if isinstance(done[route], str):
+            raise PreconditionError(done[route])
+        return done[route]
+
+    return get
+
+
+def _routes_json(section: str, data, w2, routes: Sequence[str], named: bool) -> dict:
     """The section's result by each of the routes it has among routes.
 
     A route whose precondition fails is marked skipped with the reason,
@@ -373,7 +400,7 @@ def _routes_json(section: str, data, routes: Sequence[str], named: bool) -> dict
         if name not in _ROUTES[section]:
             continue
         try:
-            out[name] = _ROUTES[section][name](data)
+            out[name] = _ROUTES[section][name](data, w2)
         except PreconditionError as e:
             if named:
                 raise
@@ -414,6 +441,7 @@ def build_report(
     if "validation" not in shown:
         require_valid(data)
     rep: dict[str, Any] = {}
+    w2 = _once_per_route(lambda route: _W2[route](data))
 
     def put(section: str, value: Callable[[], Any]) -> None:
         if section in shown:
@@ -434,10 +462,10 @@ def build_report(
         put("intersection_form", lambda: _skip(_NO_CLASSES))
     else:
         put("inferred_k", lambda: list(infer_k(data)))
-        put("homology", lambda: _routes_json("homology", data, routes, named))
+        put("homology", lambda: _routes_json("homology", data, w2, routes, named))
         put("intersection_form", lambda: _form_json(intersection_form(data)))
     for section in ("linking", "w2", "spin"):
-        put(section, lambda: _routes_json(section, data, routes, named))
+        put(section, lambda: _routes_json(section, data, w2, routes, named))
     return 0, rep
 
 

@@ -1,6 +1,7 @@
 """Exact linear algebra over the integers.
 
-Immutable integer matrices, Smith normal form with transform matrices,
+Immutable integer matrices, Smith normal form with the transforms a caller
+asks for (its factorization solves any number of right-hand sides),
 column-style Hermite form, and lattice operations (intersection, sum,
 quotient presentation, orthogonal complement). Everything runs on Python
 ints, so there is no overflow and no rounding anywhere. Empty matrices
@@ -87,12 +88,10 @@ class IntMatrix:
     def mul(self, other: "IntMatrix") -> "IntMatrix":
         if self.cols != other.rows:
             raise ValueError(f"shape mismatch {self.rows}x{self.cols} * {other.rows}x{other.cols}")
-        out = []
-        for i in range(self.rows):
-            ri = self.row(i)
-            for j in range(other.cols):
-                out.append(sum(ri[k] * other.entry(k, j) for k in range(self.cols)))
-        return IntMatrix(self.rows, other.cols, tuple(out))
+        rows = [self.row(i) for i in range(self.rows)]
+        cols = [other.column(j) for j in range(other.cols)]
+        out = tuple(sum(a * b for a, b in zip(r, c)) for r in rows for c in cols)
+        return IntMatrix(self.rows, other.cols, out)
 
     def matvec(self, v: Sequence[int]) -> tuple[int, ...]:
         if len(v) != self.cols:
@@ -134,63 +133,102 @@ class IntMatrix:
 @dataclass(frozen=True)
 class SmithDecomposition:
     """U * A * V = D with U, V unimodular and D diagonal, nonnegative,
-    each diagonal entry dividing the next."""
+    each diagonal entry dividing the next.
+
+    One factorization serves every right-hand side: solve(b) is the
+    integer solve of A x = b.
+    """
 
     U: IntMatrix
     D: IntMatrix
     V: IntMatrix
 
+    def solve(self, b: Sequence[int]) -> tuple[int, ...] | None:
+        """One integer solution x of A x = b, or None if none exists."""
+        if len(b) != self.D.rows:
+            raise ValueError(f"rhs length {len(b)} != rows {self.D.rows}")
+        c = self.U.matvec(b)
+        diag = self.D.diagonal()
+        y = [0] * self.D.cols
+        for i, ci in enumerate(c):
+            di = diag[i] if i < len(diag) else 0
+            if di == 0:
+                if ci != 0:
+                    return None
+            else:
+                if ci % di:
+                    return None
+                y[i] = ci // di
+        return self.V.matvec(y)
+
+
+def _add_row(x: list[list[int]], i: int, j: int, q: int) -> None:
+    x[i] = [a + q * b for a, b in zip(x[i], x[j])]
+
+
+def _add_col(x: list[list[int]], i: int, j: int, q: int) -> None:
+    for row in x:
+        row[i] += q * row[j]
+
+
+def _swap_cols(x: list[list[int]], i: int, j: int) -> None:
+    for row in x:
+        row[i], row[j] = row[j], row[i]
+
 
 def _snf_with_inverses(
-    m: IntMatrix,
-) -> tuple[IntMatrix, IntMatrix, IntMatrix, IntMatrix, IntMatrix]:
-    """Smith form plus the inverses of both transforms.
+    m: IntMatrix, keep: Sequence[str] = ()
+) -> tuple[IntMatrix | None, IntMatrix, IntMatrix | None, IntMatrix | None, IntMatrix | None]:
+    """Smith form plus the transforms named in keep.
 
-    Returns (U, D, V, Uinv, Vinv) with U m V = D, m = Uinv D Vinv.
-    Pivot rule: smallest nonzero absolute value in the active block,
-    ties broken by lowest (row, col). This makes the output a pure
-    function of the input.
+    Returns (U, D, V, Uinv, Vinv) with U m V = D, m = Uinv D Vinv; a
+    transform not named in keep ("U", "V", "Uinv", "Vinv") is None and
+    costs nothing. Pivot rule: smallest nonzero absolute value in the
+    active block, ties broken by lowest (row, col). The pivot sequence
+    depends only on m, so D and every kept transform are pure functions
+    of the input, whichever others are kept.
     """
     r, c = m.rows, m.cols
     a = m.to_rows()
-    u = IntMatrix.identity(r).to_rows()
-    uinv = IntMatrix.identity(r).to_rows()
-    v = IntMatrix.identity(c).to_rows()
-    vinv = IntMatrix.identity(c).to_rows()
+    kept = {t: IntMatrix.identity(r if t in ("U", "Uinv") else c).to_rows() for t in keep}
+    # row operations act on the rows of a and U and on the columns of Uinv;
+    # column operations on the columns of a and V and on the rows of Vinv
+    side = lambda t: [kept[t]] if t in kept else []
+    rows_of, cols_of = [a] + side("U"), [a] + side("V")
+    uinv, vinv = side("Uinv"), side("Vinv")
 
     def row_add(i: int, j: int, q: int) -> None:
-        # row_i += q * row_j on a and u; uinv pays with col_j -= q * col_i
-        a[i] = [x + q * y for x, y in zip(a[i], a[j])]
-        u[i] = [x + q * y for x, y in zip(u[i], u[j])]
-        for k in range(r):
-            uinv[k][j] -= q * uinv[k][i]
+        # row_i += q * row_j; Uinv pays with col_j -= q * col_i
+        for x in rows_of:
+            _add_row(x, i, j, q)
+        for x in uinv:
+            _add_col(x, j, i, -q)
 
     def col_add(i: int, j: int, q: int) -> None:
-        # col_i += q * col_j on a and v; vinv pays with row_j -= q * row_i
-        for k in range(len(a)):
-            a[k][i] += q * a[k][j]
-        for k in range(c):
-            v[k][i] += q * v[k][j]
-        vinv[j] = [x - q * y for x, y in zip(vinv[j], vinv[i])]
+        # col_i += q * col_j; Vinv pays with row_j -= q * row_i
+        for x in cols_of:
+            _add_col(x, i, j, q)
+        for x in vinv:
+            _add_row(x, j, i, -q)
 
     def row_swap(i: int, j: int) -> None:
-        a[i], a[j] = a[j], a[i]
-        u[i], u[j] = u[j], u[i]
-        for k in range(r):
-            uinv[k][i], uinv[k][j] = uinv[k][j], uinv[k][i]
+        for x in rows_of:
+            x[i], x[j] = x[j], x[i]
+        for x in uinv:
+            _swap_cols(x, i, j)
 
     def col_swap(i: int, j: int) -> None:
-        for k in range(len(a)):
-            a[k][i], a[k][j] = a[k][j], a[k][i]
-        for k in range(c):
-            v[k][i], v[k][j] = v[k][j], v[k][i]
-        vinv[i], vinv[j] = vinv[j], vinv[i]
+        for x in cols_of:
+            _swap_cols(x, i, j)
+        for x in vinv:
+            x[i], x[j] = x[j], x[i]
 
     def row_negate(i: int) -> None:
-        a[i] = [-x for x in a[i]]
-        u[i] = [-x for x in u[i]]
-        for k in range(r):
-            uinv[k][i] = -uinv[k][i]
+        for x in rows_of:
+            x[i] = [-e for e in x[i]]
+        for x in uinv:
+            for row in x:
+                row[i] = -row[i]
 
     t = 0
     while t < min(r, c):
@@ -235,26 +273,30 @@ def _snf_with_inverses(
             continue
         t += 1
 
-    mk = lambda rows, ncols: IntMatrix.from_rows(rows, cols=ncols)
-    return (mk(u, r), mk(a, c), mk(v, c), mk(uinv, r), mk(vinv, c))
+    def out(name: str) -> IntMatrix | None:
+        if name not in kept:
+            return None
+        return IntMatrix.from_rows(kept[name], cols=r if name in ("U", "Uinv") else c)
+
+    return (out("U"), IntMatrix.from_rows(a, cols=c), out("V"), out("Uinv"), out("Vinv"))
 
 
 def snf(m: IntMatrix) -> SmithDecomposition:
     """Smith normal form with both transforms: U m V = D."""
-    u, d, v, _, _ = _snf_with_inverses(m)
+    u, d, v, _, _ = _snf_with_inverses(m, ("U", "V"))
     return SmithDecomposition(u, d, v)
 
 
-def _snf_rank(d: IntMatrix) -> int:
-    return sum(1 for x in d.diagonal() if x != 0)
+def smith_diagonal(m: IntMatrix) -> tuple[int, ...]:
+    """Diagonal of the Smith form of m; no transform is built."""
+    return _snf_with_inverses(m)[1].diagonal()
 
 
 def is_unimodular(m: IntMatrix) -> bool:
     """True iff m is square with determinant +-1."""
     if m.rows != m.cols:
         return False
-    dec = snf(m)
-    return all(x == 1 for x in dec.D.diagonal())
+    return all(x == 1 for x in smith_diagonal(m))
 
 
 # ---------------------------------------------------------------------------
@@ -379,8 +421,7 @@ class Lattice:
         """True iff Z^n / self is torsion-free."""
         if self.rank == 0:
             return True
-        d = snf(self.basis).D
-        return all(x == 1 for x in d.diagonal()[: self.rank])
+        return all(x == 1 for x in smith_diagonal(self.basis)[: self.rank])
 
     def saturation(self) -> "Lattice":
         """Smallest saturated lattice containing self."""
@@ -390,30 +431,15 @@ class Lattice:
 
 def kernel_basis(m: IntMatrix) -> Lattice:
     """Integer kernel {x : m x = 0} as a lattice in Z^cols. Always saturated."""
-    u, d, v, _, _ = _snf_with_inverses(m)
-    r = _snf_rank(d)
+    _, d, v, _, _ = _snf_with_inverses(m, ("V",))
+    r = sum(1 for x in d.diagonal() if x != 0)
     cols = [list(v.column(j)) for j in range(r, m.cols)]
     return Lattice.from_generators(m.cols, cols)
 
 
 def solve_integer(m: IntMatrix, b: Sequence[int]) -> tuple[int, ...] | None:
     """One integer solution x of m x = b, or None if none exists."""
-    if len(b) != m.rows:
-        raise ValueError(f"rhs length {len(b)} != rows {m.rows}")
-    u, d, v, _, _ = _snf_with_inverses(m)
-    c = u.matvec(b)
-    diag = d.diagonal()
-    y = [0] * m.cols
-    for i in range(m.rows):
-        di = diag[i] if i < len(diag) else 0
-        if di == 0:
-            if c[i] != 0:
-                return None
-        else:
-            if c[i] % di:
-                return None
-            y[i] = c[i] // di
-    return v.matvec(y)
+    return snf(m).solve(b)
 
 
 def lattice_intersect(a: Lattice, b: Lattice) -> Lattice:
@@ -477,13 +503,11 @@ def quotient_presentation(numerator: Lattice, denominator: Lattice) -> AbelianGr
         raise ValueError("ambient rank mismatch")
     coords = []
     for g in denominator.generators():
-        x = solve_integer(numerator.basis, g)
+        x = numerator.coordinates_of(g)
         if x is None:
             raise ValueError(f"denominator generator {list(g)} not inside numerator")
         coords.append(list(x))
-    cmat = IntMatrix.from_columns(numerator.rank, coords)
-    d = snf(cmat).D
-    diag = d.diagonal()
+    diag = smith_diagonal(IntMatrix.from_columns(numerator.rank, coords))
     rank_rel = sum(1 for x in diag if x != 0)
     factors = tuple(x for x in diag if x > 1)
     return AbelianGroup(numerator.rank - rank_rel, factors)

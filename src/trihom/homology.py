@@ -24,7 +24,6 @@ from .exactalg import (
     lattice_intersect,
     lattice_sum,
     quotient_presentation,
-    solve_integer,
 )
 from .surface import (
     Diagram,
@@ -75,8 +74,8 @@ class HomologyResult:
         return (self.h0, self.h1, self.h2, self.h3)
 
 
-def _family_coordinates(fam: IntMatrix, ambient: tuple[int, ...]) -> tuple[int, ...]:
-    x = solve_integer(fam, ambient)
+def _family_coordinates(d: Diagram, family: str, ambient: tuple[int, ...]) -> tuple[int, ...]:
+    x = d.family_solvers[family].solve(ambient)
     if x is None:
         raise RuntimeError("class unexpectedly outside its curve family span")
     return x
@@ -97,18 +96,15 @@ def build_cy(d: Diagram) -> ChainComplex:
             "Use the large complex or the closed forms."
         )
     w = d.partial_intersection
-    gam = d.family_matrix("gamma")
     ag = d.intersections["gamma", "alpha"]
     bg = d.intersections["beta", "gamma"]
 
     cpf = d.sig.curves_per_family
     cols3 = [
-        list(_family_coordinates(gam, gen)) for gen in ag.generators()
-    ] + [
-        list(_family_coordinates(gam, gen)) for gen in bg.generators()
+        list(_family_coordinates(d, "gamma", gen)) for gen in ag.generators() + bg.generators()
     ]
     d3 = IntMatrix.from_columns(cpf, cols3)
-    d2 = w.basis.transpose().mul(gam)
+    d2 = w.basis.transpose().mul(d.family_matrix("gamma"))
     d1 = IntMatrix.zeros(1, w.rank)
     return ChainComplex(
         ranks=(1, w.rank, cpf, ag.rank + bg.rank),
@@ -136,16 +132,16 @@ def build_cz(d: Diagram) -> ChainComplex:
     zero = [0] * cpf
     cols3: list[list[int]] = []
     for gen in ab.generators():
-        ca = list(_family_coordinates(a, gen))
-        cb = [-x for x in _family_coordinates(b, gen)]
+        ca = list(_family_coordinates(d, "alpha", gen))
+        cb = [-x for x in _family_coordinates(d, "beta", gen)]
         cols3.append(ca + cb + zero)
     for gen in bg.generators():
-        cb = list(_family_coordinates(b, gen))
-        cg = [-x for x in _family_coordinates(g, gen)]
+        cb = list(_family_coordinates(d, "beta", gen))
+        cg = [-x for x in _family_coordinates(d, "gamma", gen)]
         cols3.append(zero + cb + cg)
     for gen in ga.generators():
-        cg = list(_family_coordinates(g, gen))
-        ca = [-x for x in _family_coordinates(a, gen)]
+        cg = list(_family_coordinates(d, "gamma", gen))
+        ca = [-x for x in _family_coordinates(d, "alpha", gen)]
         cols3.append(ca + zero + cg)
     d3 = IntMatrix.from_columns(3 * cpf, cols3)
     d2 = a.hstack(b).hstack(g)
@@ -183,20 +179,13 @@ def homology_of(c: ChainComplex) -> HomologyResult:
     return HomologyResult(*groups, source=c.source)
 
 
-def _h2_lattices(d: Diagram) -> tuple[Lattice, Lattice]:
-    """H_2 as (L_gamma cap (L_alpha + L_beta)) over
-    ((L_gamma cap L_alpha) + (L_gamma cap L_beta))."""
-    num = lattice_intersect(d.lattices["gamma"], d.alpha_beta_sum)
-    return num, lattice_sum(d.intersections["gamma", "alpha"], d.intersections["beta", "gamma"])
-
-
 def h_closed_forms(d: Diagram) -> HomologyResult:
     """The four groups straight from lattice arithmetic, no complexes."""
     require_valid(d)
     lg = d.lattices["gamma"]
     h0 = AbelianGroup(1)
     h1 = quotient_presentation(Lattice.standard(d.sig.n), lattice_sum(d.alpha_beta_sum, lg))
-    h2 = quotient_presentation(*_h2_lattices(d))
+    h2 = quotient_presentation(*d.h2_lattices)
     h3 = AbelianGroup(lattice_intersect(d.intersections["alpha", "beta"], lg).rank)
     return HomologyResult(h0, h1, h2, h3, source="closed")
 
@@ -212,13 +201,12 @@ def euler_characteristic(c: ChainComplex) -> int:
 
 def _alpha_part(d: Diagram, ambient: tuple[int, ...]) -> tuple[int, ...]:
     """x' with x = x' + x'', x' in L_alpha, x'' in L_beta; errors outside."""
-    a = d.family_matrix("alpha")
-    b = d.family_matrix("beta")
-    sol = solve_integer(a.hstack(b), ambient)
+    sol = d.alpha_beta_solver.solve(ambient)
     if sol is None:
         raise PreconditionError(
             f"class {list(ambient)} is not in L_alpha + L_beta"
         )
+    a = d.family_matrix("alpha")
     return a.matvec(sol[: a.cols])
 
 
@@ -265,18 +253,18 @@ def intersection_form(d: Diagram) -> IntersectionForm:
     surviving free generators.
     """
     require_valid(d)
-    num, den = _h2_lattices(d)
+    num, den = d.h2_lattices
     if num.rank == 0:
         return IntersectionForm((), IntMatrix.zeros(0, 0), ())
 
     coord_cols = []
     for gen in den.generators():
-        c = solve_integer(num.basis, gen)
+        c = num.coordinates_of(gen)
         if c is None:
             raise RuntimeError("denominator lattice escaped the numerator")
         coord_cols.append(list(c))
     cmat = IntMatrix.from_columns(num.rank, coord_cols)
-    _, dg, _, uinv, _ = _snf_with_inverses(cmat)
+    _, dg, _, uinv, _ = _snf_with_inverses(cmat, ("Uinv",))
     diag = dg.diagonal()
     rank_rel = sum(1 for t in diag if t != 0)
     torsion = tuple(t for t in diag if t > 1)
@@ -284,10 +272,11 @@ def intersection_form(d: Diagram) -> IntersectionForm:
     adapted = num.basis.mul(uinv)
     free_ambient = [adapted.column(j) for j in range(rank_rel, num.rank)]
 
-    gam = d.family_matrix("gamma")
-    gens = tuple(_family_coordinates(gam, v) for v in free_ambient)
+    gens = tuple(_family_coordinates(d, "gamma", v) for v in free_ambient)
+    # every generator lies in L_alpha + L_beta, so each splits once
+    parts = [_alpha_part(d, v) for v in free_ambient]
     vals = [
-        [_phi_ambient(d, v, w) for w in free_ambient] for v in free_ambient
+        [-intersection_number(d.sig, xp, w) for w in free_ambient] for xp in parts
     ]
     return IntersectionForm(
         generators=gens,

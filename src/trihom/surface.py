@@ -22,10 +22,12 @@ from typing import Sequence
 from .exactalg import (
     IntMatrix,
     Lattice,
+    SmithDecomposition,
     is_unimodular,
     lattice_intersect,
     lattice_sum,
     orthogonal_complement,
+    smith_diagonal,
     snf,
 )
 
@@ -178,9 +180,9 @@ class Diagram:
     in the standard configuration; it cannot be verified from classes alone
     and gates the y-route computations.
 
-    The validation report and the lattices every route reads are computed
-    on first use and kept on the diagram, so each is computed once however
-    many routes run.
+    The validation report, the lattices every route reads and the Smith
+    factorizations the routes solve against are computed on first use and
+    kept on the diagram, so each is computed once however many routes run.
     """
 
     sig: SurfaceSignature
@@ -264,6 +266,26 @@ class Diagram:
     def alpha_beta_sum(self) -> Lattice:
         """L_alpha + L_beta."""
         return lattice_sum(self.lattices["alpha"], self.lattices["beta"])
+
+    @cached_property
+    def h2_lattices(self) -> tuple[Lattice, Lattice]:
+        """H_2 as (L_gamma cap (L_alpha + L_beta)) over
+        ((L_gamma cap L_alpha) + (L_gamma cap L_beta)): numerator, denominator."""
+        num = lattice_intersect(self.lattices["gamma"], self.alpha_beta_sum)
+        den = lattice_sum(self.intersections["gamma", "alpha"], self.intersections["beta", "gamma"])
+        return num, den
+
+    @cached_property
+    def family_solvers(self) -> dict[str, SmithDecomposition]:
+        """Smith factorization of each family matrix: family coordinates of
+        any class in its span by one solve."""
+        return {f: snf(self.family_matrix(f)) for f in _FAMILIES}
+
+    @cached_property
+    def alpha_beta_solver(self) -> SmithDecomposition:
+        """Smith factorization of [alpha | beta], splitting a class of
+        L_alpha + L_beta into its two parts."""
+        return snf(self.family_matrix("alpha").hstack(self.family_matrix("beta")))
 
 
 @dataclass(frozen=True)
@@ -459,7 +481,7 @@ def validate_matrices(m: DiagramMatrices) -> ValidationReport:
     if m.q_beta_alpha is not None and not bad and k_ok:
         # every class in L_beta cap L_alpha pairs to zero against all of
         # alpha, so the pairing matrix loses one rank per intersection class
-        rank = sum(1 for x in snf(m.q_beta_alpha).D.diagonal() if x != 0)
+        rank = sum(1 for x in smith_diagonal(m.q_beta_alpha) if x != 0)
         limit = c - (m.k1 - sig.l)
         checks.append(
             ValidationCheck(

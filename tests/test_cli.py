@@ -1,13 +1,15 @@
 """Input parsing, exit codes, and report output of the command line tool."""
 
+import gc
 import json
+import weakref
 from pathlib import Path
 
 import pytest
 
-from trihom import cli, surface
+from trihom import charclass, cli, exactalg, homology, surface
 from trihom.cli import ParseError, main, parse, parse_obj, run, serialize
-from trihom.exactalg import AbelianGroup, Lattice
+from trihom.exactalg import AbelianGroup, IntMatrix, Lattice
 from trihom.homology import HomologyResult
 
 FIXTURES = Path(__file__).parent / "fixtures"
@@ -289,14 +291,92 @@ class TestReport:
             built.append(m)
             return real_build(cls, m)
 
+        bases = []  # the basis of every lattice made
+        real_lattice_init = Lattice.__post_init__
+
+        def recording_lattice_init(lat):
+            bases.append(lat.basis)
+            real_lattice_init(lat)
+
+        stacked = []  # every [alpha | beta] made from handed-out family matrices
+        real_hstack = IntMatrix.hstack
+
+        def recording_hstack(m, other):
+            out = real_hstack(m, other)
+            handed_out = {id(fm): f for f, fm in family_matrices}
+            if (handed_out.get(id(m)), handed_out.get(id(other))) == ("alpha", "beta"):
+                stacked.append(out)
+            return out
+
+        factored = []  # (matrix, kept transforms) of every Smith form
+        real_snf = exactalg._snf_with_inverses
+
+        def recording_snf(m, keep=()):
+            factored.append((m, tuple(keep)))
+            return real_snf(m, keep)
+
+        linking_calls = []
+        real_linking = {n: getattr(charclass, n) for n in ("linking_matrix_y", "linking_matrix_z")}
+
+        def counting(name):
+            def wrapper(d):
+                linking_calls.append(name)
+                return real_linking[name](d)
+            return wrapper
+
         monkeypatch.setattr(surface, "validate", counting_validate)
         monkeypatch.setattr(surface.Diagram, "family_matrix", recording_family_matrix)
         monkeypatch.setattr(Lattice, "from_matrix_columns", classmethod(recording_build))
-        assert run("report", CLASS_FIXTURE, fmt="json")[0] == 0
-        assert len(validations) == 1
-        for family in ("alpha", "beta", "gamma"):
-            spans = [m for name, m in family_matrices if name == family]
-            assert sum(any(b is m for b in built) for m in spans) == 1, family
+        monkeypatch.setattr(Lattice, "__post_init__", recording_lattice_init)
+        monkeypatch.setattr(IntMatrix, "hstack", recording_hstack)
+        for module in (exactalg, homology):
+            monkeypatch.setattr(module, "_snf_with_inverses", recording_snf)
+        for name in real_linking:
+            monkeypatch.setattr(charclass, name, counting(name))
+
+        for path in (CLASS_FIXTURE, STANDARD_FIXTURE):
+            logs = (validations, family_matrices, built, bases, stacked, factored, linking_calls)
+            for log in logs:
+                log.clear()
+            assert run("report", path, fmt="json")[0] == 0
+            assert len(validations) == 1
+            by_family = {
+                name: [m for f, m in family_matrices if f == name]
+                for name in ("alpha", "beta", "gamma")
+            }
+            for family, handed_out in by_family.items():
+                assert sum(any(b is m for b in built) for m in handed_out) == 1, family
+                # each family matrix is factored once, to solve against it
+                assert sum(any(f is m for f, _ in factored) for m in handed_out) <= 1, family
+            # and so is [alpha | beta]
+            assert sum(f is m for f, _ in factored for m in stacked) <= 1
+            # coordinates in a lattice come from its Hermite basis, not a Smith solve
+            solved = [f for f, keep in factored if "U" in keep]
+            assert not any(f is b for f in solved for b in bases)
+            assert sorted(linking_calls) == ["linking_matrix_y", "linking_matrix_z"]
+
+    def test_report_frees_the_diagram_without_the_cycle_collector(self, monkeypatch) -> None:
+        # a reference cycle through a report's diagram (say, a kept exception
+        # of a skipped route) would hold all its caches until the cyclic GC runs
+        made = []
+        real_to_diagram = cli.to_diagram
+
+        def recording_to_diagram(df, assert_standard=False):
+            d = real_to_diagram(df, assert_standard)
+            made.append(weakref.ref(d))
+            return d
+
+        monkeypatch.setattr(cli, "to_diagram", recording_to_diagram)
+        was_enabled = gc.isenabled()
+        gc.disable()
+        try:
+            for path in (CLASS_FIXTURE, STANDARD_FIXTURE):  # y route skipped, then run
+                assert run("report", path, fmt="json")[0] == 0
+        finally:
+            if was_enabled:
+                gc.enable()
+        assert len(made) == 2
+        assert all(ref() is None for ref in made)
 
     def test_report_is_deterministic(self) -> None:
         for path in (CLASS_FIXTURE, MATRIX_FIXTURE, STANDARD_FIXTURE):

@@ -1,5 +1,6 @@
 """Integer linear algebra: frozen examples plus seeded invariant sweeps."""
 
+import itertools
 import random
 
 import pytest
@@ -8,6 +9,7 @@ from trihom.exactalg import (
     AbelianGroup,
     IntMatrix,
     Lattice,
+    _snf_with_inverses,
     hermite_column_form,
     is_unimodular,
     kernel_basis,
@@ -88,12 +90,17 @@ class TestSmithNormalForm:
         assert empty.D.rows == 0 and empty.D.cols == 0
 
     def test_decomposition_relation_seeded(self) -> None:
+        names = ("U", "V", "Uinv", "Vinv")
+        subsets = [k for size in range(5) for k in itertools.combinations(names, size)]
         rng = random.Random(20260817)
+        rhs_rng = random.Random(424242)
+        solvable_seen = set()
         for _ in range(60):
             rows = rng.randint(0, 4)
             cols = rng.randint(0, 4)
             m = random_matrix(rng, rows, cols)
             dec = snf(m)
+
             assert dec.U.mul(m).mul(dec.V).to_rows() == dec.D.to_rows()
             assert is_unimodular(dec.U)
             assert is_unimodular(dec.V)
@@ -107,6 +114,34 @@ class TestSmithNormalForm:
             for a, b in zip(diag, diag[1:]):
                 if b != 0:
                     assert a != 0 and b % a == 0
+
+            # the inverse transforms, and every subset of kept transforms
+            full = _snf_with_inverses(m, names)
+            u, d, v, uinv, vinv = full
+            assert (u, d, v) == (dec.U, dec.D, dec.V)
+            assert uinv.mul(d).mul(vinv) == m
+            assert u.mul(uinv) == IntMatrix.identity(m.rows)
+            assert v.mul(vinv) == IntMatrix.identity(m.cols)
+            for keep in subsets:
+                want = tuple(x if name == "D" or name in keep else None
+                             for name, x in zip(("U", "D", "V", "Uinv", "Vinv"), full))
+                assert _snf_with_inverses(m, keep) == want, keep
+
+            # one factorization solves every right-hand side; the oracle for
+            # solvability is membership in the Hermite lattice of the columns
+            span = Lattice.from_matrix_columns(m)
+            for _ in range(4):
+                if rhs_rng.random() < 0.5:
+                    b = m.matvec([rhs_rng.randint(-5, 5) for _ in range(m.cols)])
+                else:
+                    b = tuple(rhs_rng.randint(-9, 9) for _ in range(m.rows))
+                x = dec.solve(b)
+                assert x == solve_integer(m, b)
+                assert (x is not None) == span.contains(b)
+                if x is not None:
+                    assert m.matvec(x) == tuple(b)
+                solvable_seen.add(x is not None)
+        assert solvable_seen == {True, False}
 
 
 class TestHermiteColumnForm:
@@ -158,6 +193,10 @@ class TestKernel:
 
 
 class TestSolveInteger:
+    def test_solver_rejects_wrong_length(self) -> None:
+        with pytest.raises(ValueError):
+            snf(mat([[1, 0]])).solve((1, 2))
+
     def test_diagonal_system(self) -> None:
         assert solve_integer(mat([[2, 0], [0, 3]]), (4, 9)) == (2, 3)
 
