@@ -77,7 +77,7 @@ def _require_standard_position(d: Diagram) -> None:
                 f"to a basis of its boundary-compatible lattice; the "
                 f"standard-position assertion is inconsistent with the classes"
             )
-    if not d.alpha_beta_sum.is_saturated():
+    if not d.alpha_beta_saturated:
         raise PreconditionError(
             "L_alpha + L_beta is not saturated, which contradicts the "
             "standard-position assertion"

@@ -13,7 +13,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import dataclass
 from typing import Any, Callable, Sequence
 
 from .charclass import spin_y, spin_z, w2_y, w2_z
@@ -49,27 +48,6 @@ class ParseError(ValueError):
 # diagram files
 
 
-@dataclass(frozen=True)
-class DiagramFile:
-    """Typed contents of one input file, either mode."""
-
-    mode: str
-    g: int
-    p: int
-    b: int
-    k: tuple[int, int, int] | None = None
-    alpha: tuple[tuple[int, ...], ...] | None = None
-    beta: tuple[tuple[int, ...], ...] | None = None
-    gamma: tuple[tuple[int, ...], ...] | None = None
-    arcs: tuple[tuple[int, ...], ...] | None = None
-    standard_position_assertion: bool = False
-    k1: int | None = None
-    q_gamma_beta: tuple[tuple[int, ...], ...] | None = None
-    q_alpha_gamma: tuple[tuple[int, ...], ...] | None = None
-    q_a_gamma: tuple[tuple[int, ...], ...] | None = None
-    q_beta_alpha: tuple[tuple[int, ...], ...] | None = None
-
-
 def _need(obj: dict, field: str) -> Any:
     if field not in obj:
         raise ParseError(f"missing field {field!r}")
@@ -96,12 +74,13 @@ def _as_vector_list(value: Any, length: int, field: str) -> tuple[tuple[int, ...
     return tuple(_as_vector(v, length, f"{field}[{i}]") for i, v in enumerate(value))
 
 
-def _as_matrix(value: Any, rows: int, cols: int, field: str) -> tuple[tuple[int, ...], ...]:
+def _as_matrix(value: Any, rows: int, cols: int, field: str) -> IntMatrix:
     if not isinstance(value, list):
         raise ParseError(f"{field}: expected a nested list")
     if len(value) != rows:
         raise ParseError(f"{field}: expected {rows} rows, got {len(value)}")
-    return tuple(_as_vector(r, cols, f"{field}[{i}]") for i, r in enumerate(value))
+    vectors = [_as_vector(r, cols, f"{field}[{i}]") for i, r in enumerate(value)]
+    return IntMatrix.from_rows(vectors, cols=cols)
 
 
 _CLASS_FIELDS = {"alpha", "beta", "gamma", "arcs", "standard_position_assertion"}
@@ -109,9 +88,11 @@ _MATRIX_FIELDS = {"k1", "Q_gamma_beta", "Q_alpha_gamma", "Q_a_gamma", "Q_beta_al
 _COMMON_FIELDS = {"mode", "g", "p", "b", "k"}
 
 
-def parse_obj(obj: Any) -> DiagramFile:
-    """Typed DiagramFile from decoded JSON; raises ParseError with the
-    offending field named."""
+def parse_obj(obj: Any, assert_standard: bool = False) -> Diagram | DiagramMatrices:
+    """The Diagram (class mode) or DiagramMatrices (matrix mode) that
+    decoded JSON describes; raises ParseError with the offending field
+    named. assert_standard asserts standard position as the file field
+    standard_position_assertion does."""
     if not isinstance(obj, dict):
         raise ParseError("top level must be a JSON object")
     mode = _need(obj, "mode")
@@ -130,10 +111,7 @@ def parse_obj(obj: Any) -> DiagramFile:
         if key not in allowed:
             raise ParseError(f"unexpected field {key!r} for mode {mode!r}")
 
-    k = None
-    if obj.get("k") is not None:
-        kv = _as_vector(obj["k"], 3, "k")
-        k = (kv[0], kv[1], kv[2])
+    k = _as_vector(obj["k"], 3, "k") if obj.get("k") is not None else None
 
     if mode == "class":
         n = sig.n
@@ -148,10 +126,9 @@ def parse_obj(obj: Any) -> DiagramFile:
         assertion = obj.get("standard_position_assertion", False)
         if not isinstance(assertion, bool):
             raise ParseError("standard_position_assertion: expected a boolean")
-        return DiagramFile(
-            mode=mode, g=g, p=p, b=b, k=k,
-            alpha=alpha, beta=beta, gamma=gamma, arcs=arcs,
-            standard_position_assertion=assertion,
+        return Diagram.build(
+            g, p, b, alpha=alpha, beta=beta, gamma=gamma, k=k, arcs=arcs,
+            standard_position=assertion or assert_standard,
         )
 
     c = sig.curves_per_family
@@ -162,13 +139,12 @@ def parse_obj(obj: Any) -> DiagramFile:
     qba = None
     if obj.get("Q_beta_alpha") is not None:
         qba = _as_matrix(obj["Q_beta_alpha"], c, c, "Q_beta_alpha")
-    return DiagramFile(
-        mode=mode, g=g, p=p, b=b, k=k,
-        k1=k1, q_gamma_beta=qgb, q_alpha_gamma=qag, q_a_gamma=qa_g, q_beta_alpha=qba,
+    return DiagramMatrices(
+        sig=sig, k1=k1, q_gamma_beta=qgb, q_alpha_gamma=qag, q_a_gamma=qa_g, q_beta_alpha=qba,
     )
 
 
-def parse(path: str) -> DiagramFile:
+def parse(path: str, assert_standard: bool = False) -> Diagram | DiagramMatrices:
     try:
         with open(path, "r", encoding="utf-8") as fh:
             text = fh.read()
@@ -178,60 +154,7 @@ def parse(path: str) -> DiagramFile:
         obj = json.loads(text)
     except json.JSONDecodeError as e:
         raise ParseError(f"{path}: invalid JSON at line {e.lineno}, column {e.colno}: {e.msg}") from None
-    return parse_obj(obj)
-
-
-def serialize(df: DiagramFile) -> dict:
-    """Canonical JSON object; parse_obj(serialize(df)) == df."""
-    out: dict[str, Any] = {"mode": df.mode, "g": df.g, "p": df.p, "b": df.b}
-    if df.k is not None:
-        out["k"] = list(df.k)
-    if df.mode == "class":
-        out["alpha"] = [list(v) for v in df.alpha]
-        out["beta"] = [list(v) for v in df.beta]
-        out["gamma"] = [list(v) for v in df.gamma]
-        if df.arcs is not None:
-            out["arcs"] = [list(v) for v in df.arcs]
-        if df.standard_position_assertion:
-            out["standard_position_assertion"] = True
-    else:
-        out["k1"] = df.k1
-        out["Q_gamma_beta"] = [list(r) for r in df.q_gamma_beta]
-        out["Q_alpha_gamma"] = [list(r) for r in df.q_alpha_gamma]
-        out["Q_a_gamma"] = [list(r) for r in df.q_a_gamma]
-        if df.q_beta_alpha is not None:
-            out["Q_beta_alpha"] = [list(r) for r in df.q_beta_alpha]
-    return out
-
-
-_NO_CLASSES = "matrix mode carries no curve classes"
-_NEEDS_CLASSES = "this operation needs curve classes; the file is matrix mode"
-
-
-def to_diagram(df: DiagramFile, assert_standard: bool = False) -> Diagram:
-    if df.mode != "class":
-        raise PreconditionError(_NEEDS_CLASSES)
-    return Diagram.build(
-        df.g, df.p, df.b,
-        alpha=df.alpha, beta=df.beta, gamma=df.gamma, k=df.k, arcs=df.arcs,
-        standard_position=df.standard_position_assertion or assert_standard,
-    )
-
-
-def to_matrices(df: DiagramFile) -> DiagramMatrices:
-    if df.mode != "matrix":
-        raise PreconditionError("the file is class mode, not matrix mode")
-    mk = lambda rows, c: IntMatrix.from_rows([list(r) for r in rows], cols=c)
-    sig = SurfaceSignature(df.g, df.p, df.b)
-    c = sig.curves_per_family
-    return DiagramMatrices(
-        sig=sig,
-        k1=df.k1,
-        q_gamma_beta=mk(df.q_gamma_beta, c),
-        q_alpha_gamma=mk(df.q_alpha_gamma, c),
-        q_a_gamma=mk(df.q_a_gamma, c),
-        q_beta_alpha=mk(df.q_beta_alpha, c) if df.q_beta_alpha is not None else None,
-    )
+    return parse_obj(obj, assert_standard)
 
 
 # ---------------------------------------------------------------------------
@@ -315,6 +238,10 @@ def _spin_json(s) -> dict:
         "witness": list(s.witness) if s.witness is not None else None,
         "witness_basis": s.basis,
     }
+
+
+_NO_CLASSES = "matrix mode carries no curve classes"
+_NEEDS_CLASSES = "this operation needs curve classes; the file is matrix mode"
 
 
 def _skip(reason: str) -> dict:
@@ -414,22 +341,21 @@ def _routes_json(section: str, data, w2, routes: Sequence[str], named: bool) -> 
 
 
 def build_report(
-    df: DiagramFile,
-    assert_standard: bool = False,
+    data: Diagram | DiagramMatrices,
     command: str = "report",
     complex_choice: str = "all",
 ) -> tuple[int, dict]:
     """Exit code and payload of one command: its sections of the report.
 
-    The report holds everything computable for this file, with unavailable
-    sections and routes marked skipped with a reason. validate and report
-    show a failing validation in the payload and exit 1. The other commands
-    compute only their own sections, and only the routes --complex names;
-    they raise DiagramError on a failing validation and PreconditionError
-    when the file cannot give what they print.
+    The report holds everything computable for this diagram, with
+    unavailable sections and routes marked skipped with a reason. validate
+    and report show a failing validation in the payload and exit 1. The
+    other commands compute only their own sections, and only the routes
+    --complex names; they raise DiagramError on a failing validation and
+    PreconditionError when the diagram cannot give what they print.
     """
     shown = _PROJECTIONS[command]
-    matrix = df.mode == "matrix"
+    matrix = isinstance(data, DiagramMatrices)
     if command in ("w2", "spin") and complex_choice == "closed":
         raise PreconditionError("w2/spin have no closed-form route; use --complex y, z, or all")
     if matrix and command in ("homology", "form"):
@@ -437,7 +363,6 @@ def build_report(
     named = command in ("homology", "w2", "spin") and complex_choice != "all"
     routes = (complex_choice,) if named else ("y", "z", "closed")
 
-    data = to_matrices(df) if matrix else to_diagram(df, assert_standard)
     if "validation" not in shown:
         require_valid(data)
     rep: dict[str, Any] = {}
@@ -447,7 +372,7 @@ def build_report(
         if section in shown:
             rep[section] = value()
 
-    put("mode", lambda: df.mode)
+    put("mode", lambda: "matrix" if matrix else "class")
     put("signature", lambda: _sig_json(data.sig))
     put("conventions", lambda: _conventions_json(data.sig))
     put("validation", lambda: _validation_json(data.validation))
@@ -478,10 +403,10 @@ def run(
 ) -> tuple[int, str]:
     """Execute one command; returns (exit_code, rendered output)."""
     try:
-        df = parse(path)
+        data = parse(path, assert_standard)
         if command not in _PROJECTIONS:
             raise ParseError(f"unknown command {command!r}")
-        code, payload = build_report(df, assert_standard, command, complex_choice)
+        code, payload = build_report(data, command, complex_choice)
     except ParseError as e:
         return 2, _render_error("parse error", str(e), fmt)
     except DiagramError as e:

@@ -10,12 +10,24 @@ ints, so there is no overflow and no rounding anywhere. Empty matrices
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Any, Iterable, Sequence
 
 
 # ---------------------------------------------------------------------------
 # matrices
+
+
+def _ints(values: Sequence[Any]) -> tuple[int, ...]:
+    """values as ints. Integer-like values (those with __index__, such as
+    numpy integers) convert; a float or other non-integral value raises
+    ValueError instead of being truncated."""
+    try:
+        return tuple(map(operator.index, values))
+    except TypeError:
+        bad = next(x for x in values if not hasattr(type(x), "__index__"))
+        raise ValueError(f"non-integer entry {bad!r}") from None
 
 
 @dataclass(frozen=True)
@@ -47,16 +59,14 @@ class IntMatrix:
         for r in rows:
             if len(r) != ncols:
                 raise ValueError("ragged rows")
-        return cls(nrows, ncols, tuple(int(x) for r in rows for x in r))
+        return cls(nrows, ncols, _ints([x for r in rows for x in r]))
 
     @classmethod
     def from_columns(cls, rows: int, columns: Sequence[Sequence[int]]) -> "IntMatrix":
         for c in columns:
             if len(c) != rows:
                 raise ValueError(f"column length {len(c)} != ambient {rows}")
-        ncols = len(columns)
-        ent = tuple(int(columns[j][i]) for i in range(rows) for j in range(ncols))
-        return cls(rows, ncols, ent)
+        return cls(rows, len(columns), _ints([x for row in zip(*columns) for x in row]))
 
     @classmethod
     def identity(cls, n: int) -> "IntMatrix":
@@ -113,10 +123,6 @@ class IntMatrix:
     def take_rows(self, indices: Sequence[int]) -> "IntMatrix":
         rows = [list(self.row(i)) for i in indices]
         return IntMatrix.from_rows(rows, cols=self.cols)
-
-    def take_columns(self, indices: Sequence[int]) -> "IntMatrix":
-        cols = [list(self.column(j)) for j in indices]
-        return IntMatrix.from_columns(self.rows, cols)
 
     @property
     def is_zero(self) -> bool:
@@ -178,24 +184,24 @@ def _swap_cols(x: list[list[int]], i: int, j: int) -> None:
 
 def _snf_with_inverses(
     m: IntMatrix, keep: Sequence[str] = ()
-) -> tuple[IntMatrix | None, IntMatrix, IntMatrix | None, IntMatrix | None, IntMatrix | None]:
+) -> tuple[IntMatrix | None, IntMatrix, IntMatrix | None, IntMatrix | None]:
     """Smith form plus the transforms named in keep.
 
-    Returns (U, D, V, Uinv, Vinv) with U m V = D, m = Uinv D Vinv; a
-    transform not named in keep ("U", "V", "Uinv", "Vinv") is None and
-    costs nothing. Pivot rule: smallest nonzero absolute value in the
-    active block, ties broken by lowest (row, col). The pivot sequence
-    depends only on m, so D and every kept transform are pure functions
-    of the input, whichever others are kept.
+    Returns (U, D, V, Uinv) with U m V = D and U Uinv = I; a transform not
+    named in keep ("U", "V", "Uinv") is None and costs nothing. Pivot
+    rule: smallest nonzero absolute value in the active block, ties broken
+    by lowest (row, col). The pivot sequence depends only on m, so D and
+    every kept transform are pure functions of the input, whichever others
+    are kept.
     """
     r, c = m.rows, m.cols
     a = m.to_rows()
     kept = {t: IntMatrix.identity(r if t in ("U", "Uinv") else c).to_rows() for t in keep}
     # row operations act on the rows of a and U and on the columns of Uinv;
-    # column operations on the columns of a and V and on the rows of Vinv
+    # column operations on the columns of a and V
     side = lambda t: [kept[t]] if t in kept else []
     rows_of, cols_of = [a] + side("U"), [a] + side("V")
-    uinv, vinv = side("Uinv"), side("Vinv")
+    uinv = side("Uinv")
 
     def row_add(i: int, j: int, q: int) -> None:
         # row_i += q * row_j; Uinv pays with col_j -= q * col_i
@@ -205,11 +211,9 @@ def _snf_with_inverses(
             _add_col(x, j, i, -q)
 
     def col_add(i: int, j: int, q: int) -> None:
-        # col_i += q * col_j; Vinv pays with row_j -= q * row_i
+        # col_i += q * col_j
         for x in cols_of:
             _add_col(x, i, j, q)
-        for x in vinv:
-            _add_row(x, j, i, -q)
 
     def row_swap(i: int, j: int) -> None:
         for x in rows_of:
@@ -220,8 +224,6 @@ def _snf_with_inverses(
     def col_swap(i: int, j: int) -> None:
         for x in cols_of:
             _swap_cols(x, i, j)
-        for x in vinv:
-            x[i], x[j] = x[j], x[i]
 
     def row_negate(i: int) -> None:
         for x in rows_of:
@@ -278,12 +280,12 @@ def _snf_with_inverses(
             return None
         return IntMatrix.from_rows(kept[name], cols=r if name in ("U", "Uinv") else c)
 
-    return (out("U"), IntMatrix.from_rows(a, cols=c), out("V"), out("Uinv"), out("Vinv"))
+    return (out("U"), IntMatrix.from_rows(a, cols=c), out("V"), out("Uinv"))
 
 
 def snf(m: IntMatrix) -> SmithDecomposition:
     """Smith normal form with both transforms: U m V = D."""
-    u, d, v, _, _ = _snf_with_inverses(m, ("U", "V"))
+    u, d, v, _ = _snf_with_inverses(m, ("U", "V"))
     return SmithDecomposition(u, d, v)
 
 
@@ -389,23 +391,13 @@ class Lattice:
         return out
 
     def contains(self, v: Sequence[int]) -> bool:
-        if len(v) != self.ambient_rank:
-            raise ValueError(f"vector length {len(v)} != ambient rank {self.ambient_rank}")
-        w = [int(x) for x in v]
-        for j, (pr, p) in enumerate(self._pivots()):
-            if w[pr] % p:
-                return False
-            q = w[pr] // p
-            if q:
-                col = self.basis.column(j)
-                w = [x - q * y for x, y in zip(w, col)]
-        return all(x == 0 for x in w)
+        return self.coordinates_of(v) is not None
 
     def coordinates_of(self, v: Sequence[int]) -> tuple[int, ...] | None:
         """Integer coordinates of v in the canonical basis, None if outside."""
         if len(v) != self.ambient_rank:
             raise ValueError(f"vector length {len(v)} != ambient rank {self.ambient_rank}")
-        w = [int(x) for x in v]
+        w = list(_ints(v))
         coords = [0] * self.rank
         for j, (pr, p) in enumerate(self._pivots()):
             if w[pr] % p:
@@ -431,7 +423,7 @@ class Lattice:
 
 def kernel_basis(m: IntMatrix) -> Lattice:
     """Integer kernel {x : m x = 0} as a lattice in Z^cols. Always saturated."""
-    _, d, v, _, _ = _snf_with_inverses(m, ("V",))
+    _, d, v, _ = _snf_with_inverses(m, ("V",))
     r = sum(1 for x in d.diagonal() if x != 0)
     cols = [list(v.column(j)) for j in range(r, m.cols)]
     return Lattice.from_generators(m.cols, cols)
@@ -482,10 +474,6 @@ class AbelianGroup:
             if prev is not None and f % prev:
                 raise ValueError(f"invariant factors not a divisibility chain: {prev}, {f}")
             prev = f
-
-    @property
-    def is_trivial(self) -> bool:
-        return self.free_rank == 0 and not self.invariant_factors
 
     def __str__(self) -> str:
         parts = []

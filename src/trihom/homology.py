@@ -89,7 +89,7 @@ def build_cy(d: Diagram) -> ChainComplex:
     wrong groups, so a violation raises PreconditionError.
     """
     require_valid(d)
-    if not d.alpha_beta_sum.is_saturated():
+    if not d.alpha_beta_saturated:
         raise PreconditionError(
             "L_alpha + L_beta is not saturated; no surface diagram produces "
             "this, and the small complex would compute the wrong homology. "
@@ -264,7 +264,7 @@ def intersection_form(d: Diagram) -> IntersectionForm:
             raise RuntimeError("denominator lattice escaped the numerator")
         coord_cols.append(list(c))
     cmat = IntMatrix.from_columns(num.rank, coord_cols)
-    _, dg, _, uinv, _ = _snf_with_inverses(cmat, ("Uinv",))
+    _, dg, _, uinv = _snf_with_inverses(cmat, ("Uinv",))
     diag = dg.diagonal()
     rank_rel = sum(1 for t in diag if t != 0)
     torsion = tuple(t for t in diag if t > 1)

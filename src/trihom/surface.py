@@ -23,6 +23,7 @@ from .exactalg import (
     IntMatrix,
     Lattice,
     SmithDecomposition,
+    _ints,
     is_unimodular,
     lattice_intersect,
     lattice_sum,
@@ -207,10 +208,10 @@ class Diagram:
         standard_position: bool = False,
     ) -> "Diagram":
         sig = SurfaceSignature(g, p, b)
-        freeze = lambda fam: tuple(tuple(int(x) for x in c) for c in fam)
+        freeze = lambda fam: tuple(_ints(c) for c in fam)
         if arcs is not None and not isinstance(arcs, IntMatrix):
             arcs = IntMatrix.from_columns(sig.n, [list(c) for c in arcs])
-        kk = tuple(int(x) for x in k) if k is not None else None
+        kk = _ints(k) if k is not None else None
         if kk is not None and len(kk) != 3:
             raise ValueError(f"k must have three entries, got {kk}")
         return cls(
@@ -266,6 +267,12 @@ class Diagram:
     def alpha_beta_sum(self) -> Lattice:
         """L_alpha + L_beta."""
         return lattice_sum(self.lattices["alpha"], self.lattices["beta"])
+
+    @cached_property
+    def alpha_beta_saturated(self) -> bool:
+        """Whether L_alpha + L_beta is saturated, as every diagram of an
+        actual manifold has it."""
+        return self.alpha_beta_sum.is_saturated()
 
     @cached_property
     def h2_lattices(self) -> tuple[Lattice, Lattice]:

@@ -8,9 +8,10 @@ from pathlib import Path
 import pytest
 
 from trihom import charclass, cli, exactalg, homology, surface
-from trihom.cli import ParseError, main, parse, parse_obj, run, serialize
+from trihom.cli import ParseError, main, parse, parse_obj, run
 from trihom.exactalg import AbelianGroup, IntMatrix, Lattice
 from trihom.homology import HomologyResult
+from trihom.surface import Diagram, DiagramMatrices, SurfaceSignature
 
 FIXTURES = Path(__file__).parent / "fixtures"
 CLASS_FIXTURE = str(FIXTURES / "punctured_cp2bar.json")
@@ -39,13 +40,33 @@ def class_payload(**overrides):
 
 
 class TestParsing:
-    def test_round_trip_class_mode(self) -> None:
-        df = parse(STANDARD_FIXTURE)
-        assert parse_obj(serialize(df)) == df
+    def test_parse_keeps_every_field_class_mode(self) -> None:
+        want = Diagram.build(
+            2, 0, 2,
+            alpha=[[1, 0, 0, 0, 0], [0, 0, 1, 0, 0]],
+            beta=[[0, 1, 0, 0, 0], [0, 0, 0, 1, 0]],
+            gamma=[[1, 1, 0, 0, 0], [0, 0, 1, 1, 0]],
+            arcs=[[0, 0, 0, 0, 1], [1, 0, 0, 0, 0], [0, 1, 0, 0, 0],
+                  [0, 0, 1, 0, 0], [0, 0, 0, 1, 0]],
+            standard_position=True,
+        )
+        assert parse(STANDARD_FIXTURE) == want
+        payload = class_payload(k=[1, 1, 1])
+        assert parse_obj(payload) == Diagram.build(
+            1, 0, 1, alpha=[[1, 0]], beta=[[0, 1]], gamma=[[1, 1]], k=(1, 1, 1)
+        )
+        asserted = parse_obj(payload, assert_standard=True)
+        assert asserted.standard_position and asserted.k == (1, 1, 1)
 
-    def test_round_trip_matrix_mode(self) -> None:
-        df = parse(MATRIX_FIXTURE)
-        assert parse_obj(serialize(df)) == df
+    def test_parse_keeps_every_field_matrix_mode(self) -> None:
+        assert parse(MATRIX_FIXTURE) == DiagramMatrices(
+            sig=SurfaceSignature(2, 0, 2),
+            k1=1,
+            q_gamma_beta=IntMatrix.from_rows([[1, 0], [0, -1]]),
+            q_alpha_gamma=IntMatrix.from_rows([[0, -1], [1, 1]]),
+            q_a_gamma=IntMatrix.from_rows([[1, 0]]),
+            q_beta_alpha=IntMatrix.from_rows([[1, 0], [0, 1]]),
+        )
 
     def test_wrong_vector_length_names_the_field(self) -> None:
         with pytest.raises(ParseError, match=r"alpha\[0\]: expected length 2, got 3"):
@@ -359,14 +380,14 @@ class TestReport:
         # a reference cycle through a report's diagram (say, a kept exception
         # of a skipped route) would hold all its caches until the cyclic GC runs
         made = []
-        real_to_diagram = cli.to_diagram
+        real_parse = cli.parse
 
-        def recording_to_diagram(df, assert_standard=False):
-            d = real_to_diagram(df, assert_standard)
+        def recording_parse(path, assert_standard=False):
+            d = real_parse(path, assert_standard)
             made.append(weakref.ref(d))
             return d
 
-        monkeypatch.setattr(cli, "to_diagram", recording_to_diagram)
+        monkeypatch.setattr(cli, "parse", recording_parse)
         was_enabled = gc.isenabled()
         gc.disable()
         try:

@@ -2,6 +2,9 @@
 
 Every corpus entry and every diagram fixture goes through all six commands,
 in both formats, and for homology, w2 and spin through every route choice.
+The commands whose output --assert-standard-position can change (report,
+and w2 and spin by the y route or all routes) run once more with it, under
+keys ending in ":asserted".
 Each output is hashed together with its exit code and compared with
 tests/cli_digests.json. After a change that is meant to alter some
 outputs, rewrite the snapshot with
@@ -32,6 +35,7 @@ SNAPSHOT = Path(__file__).parent / "cli_digests.json"
 
 ROUTED = ("homology", "w2", "spin")
 CHOICES = ("y", "z", "closed", "all")
+ASSERTED = (("report", "all"), ("w2", "y"), ("w2", "all"), ("spin", "y"), ("spin", "all"))
 
 
 def _payload(d: Diagram) -> dict:
@@ -70,6 +74,12 @@ def _digests(source: str, obj: dict, workdir: Path) -> dict[str, str]:
                 code, text = run(command, str(path), complex_choice=choice, fmt=fmt)
                 blob = f"{code}\n{text}".encode()
                 out[f"{source}:{command}:{choice}:{fmt}"] = hashlib.sha256(blob).hexdigest()
+    for command, choice in ASSERTED:
+        for fmt in ("json", "text"):
+            code, text = run(command, str(path), complex_choice=choice, fmt=fmt,
+                             assert_standard=True)
+            blob = f"{code}\n{text}".encode()
+            out[f"{source}:{command}:{choice}:{fmt}:asserted"] = hashlib.sha256(blob).hexdigest()
     return out
 
 

@@ -2,6 +2,7 @@
 
 import random
 
+import numpy as np
 import pytest
 
 from trihom.exactalg import IntMatrix
@@ -175,6 +176,14 @@ class TestDiagramLattices:
     def test_k_stored_when_supplied(self) -> None:
         d = Diagram.build(1, 0, 1, [[1, 0]], [[0, 1]], [[1, 1]], k=(0, 0, 0))
         assert d.k == (0, 0, 0)
+
+    def test_build_rejects_non_integral_classes_and_k(self) -> None:
+        with pytest.raises(ValueError, match=r"non-integer entry 1\.7"):
+            Diagram.build(1, 0, 1, [[1.7, 0]], [[0, 1]], [[1, 1]])
+        with pytest.raises(ValueError, match=r"non-integer entry 0\.5"):
+            Diagram.build(1, 0, 1, [[1, 0]], [[0, 1]], [[1, 1]], k=(0, 0.5, 0))
+        d = Diagram.build(1, 0, 1, [[np.int64(1), 0]], [[0, 1]], [[1, 1]], k=np.zeros(3, int))
+        assert d == Diagram.build(1, 0, 1, [[1, 0]], [[0, 1]], [[1, 1]], k=(0, 0, 0))
 
 
 class TestValidation:
