@@ -141,6 +141,7 @@ def parse_obj(obj: Any, assert_standard: bool = False) -> Diagram | DiagramMatri
         qba = _as_matrix(obj["Q_beta_alpha"], c, c, "Q_beta_alpha")
     return DiagramMatrices(
         sig=sig, k1=k1, q_gamma_beta=qgb, q_alpha_gamma=qag, q_a_gamma=qa_g, q_beta_alpha=qba,
+        k=k,
     )
 
 

@@ -3,15 +3,19 @@
 Immutable integer matrices, Smith normal form with the transforms a caller
 asks for (its factorization solves any number of right-hand sides),
 column-style Hermite form, and lattice operations (intersection, sum,
-quotient presentation, orthogonal complement). Everything runs on Python
-ints, so there is no overflow and no rounding anywhere. Empty matrices
-(zero rows or zero columns) are legal inputs throughout.
+quotient presentation, orthogonal complement). Kernels, intersections and
+full-rank solves each come from one Hermite form of a stacked matrix; Smith
+forms serve only where a Smith diagonal or basis is the answer. Everything
+runs on Python ints, so there is no overflow and no rounding anywhere.
+Empty matrices (zero rows or zero columns) are legal inputs throughout.
 """
 
 from __future__ import annotations
 
+import math
 import operator
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Any, Iterable, Sequence
 
 
@@ -32,7 +36,11 @@ def _ints(values: Sequence[Any]) -> tuple[int, ...]:
 
 @dataclass(frozen=True)
 class IntMatrix:
-    """Dense integer matrix, row-major, immutable."""
+    """Dense integer matrix, row-major, immutable.
+
+    The constructor and from_rows/from_columns check every entry; matrices
+    built here from entries that are already ints skip that scan.
+    """
 
     rows: int
     cols: int
@@ -51,6 +59,13 @@ class IntMatrix:
                 raise ValueError(f"non-integer entry {e!r}")
 
     @classmethod
+    def _of(cls, rows: int, cols: int, entries: tuple[int, ...]) -> "IntMatrix":
+        """A matrix from a tuple of rows * cols ints, without the checks."""
+        m = object.__new__(cls)
+        m.__dict__.update(rows=rows, cols=cols, entries=entries)
+        return m
+
+    @classmethod
     def from_rows(cls, rows: Sequence[Sequence[int]], cols: int | None = None) -> "IntMatrix":
         nrows = len(rows)
         if nrows == 0:
@@ -59,18 +74,20 @@ class IntMatrix:
         for r in rows:
             if len(r) != ncols:
                 raise ValueError("ragged rows")
-        return cls(nrows, ncols, _ints([x for r in rows for x in r]))
+        return cls._of(nrows, ncols, _ints([x for r in rows for x in r]))
 
     @classmethod
     def from_columns(cls, rows: int, columns: Sequence[Sequence[int]]) -> "IntMatrix":
         for c in columns:
             if len(c) != rows:
                 raise ValueError(f"column length {len(c)} != ambient {rows}")
-        return cls(rows, len(columns), _ints([x for row in zip(*columns) for x in row]))
+        if rows < 0:
+            raise ValueError(f"negative matrix shape {rows}x{len(columns)}")
+        return cls._of(rows, len(columns), _ints([x for row in zip(*columns) for x in row]))
 
     @classmethod
     def identity(cls, n: int) -> "IntMatrix":
-        return cls(n, n, tuple(1 if i == j else 0 for i in range(n) for j in range(n)))
+        return cls._of(n, n, tuple(1 if i == j else 0 for i in range(n) for j in range(n)))
 
     @classmethod
     def zeros(cls, rows: int, cols: int) -> "IntMatrix":
@@ -89,19 +106,19 @@ class IntMatrix:
         return [list(self.row(i)) for i in range(self.rows)]
 
     def transpose(self) -> "IntMatrix":
-        ent = tuple(self.entry(i, j) for j in range(self.cols) for i in range(self.rows))
-        return IntMatrix(self.cols, self.rows, ent)
+        ent = tuple(x for j in range(self.cols) for x in self.column(j))
+        return IntMatrix._of(self.cols, self.rows, ent)
 
     def neg(self) -> "IntMatrix":
-        return IntMatrix(self.rows, self.cols, tuple(-e for e in self.entries))
+        return IntMatrix._of(self.rows, self.cols, tuple(-e for e in self.entries))
 
     def mul(self, other: "IntMatrix") -> "IntMatrix":
         if self.cols != other.rows:
             raise ValueError(f"shape mismatch {self.rows}x{self.cols} * {other.rows}x{other.cols}")
         rows = [self.row(i) for i in range(self.rows)]
         cols = [other.column(j) for j in range(other.cols)]
-        out = tuple(sum(a * b for a, b in zip(r, c)) for r in rows for c in cols)
-        return IntMatrix(self.rows, other.cols, out)
+        out = tuple(sum(map(operator.mul, r, c)) for r in rows for c in cols)
+        return IntMatrix._of(self.rows, other.cols, out)
 
     def matvec(self, v: Sequence[int]) -> tuple[int, ...]:
         if len(v) != self.cols:
@@ -112,17 +129,20 @@ class IntMatrix:
     def hstack(self, other: "IntMatrix") -> "IntMatrix":
         if self.rows != other.rows:
             raise ValueError("row mismatch in hstack")
-        rows = [list(self.row(i)) + list(other.row(i)) for i in range(self.rows)]
-        return IntMatrix.from_rows(rows, cols=self.cols + other.cols)
+        ent = tuple(x for i in range(self.rows) for x in self.row(i) + other.row(i))
+        return IntMatrix._of(self.rows, self.cols + other.cols, ent)
 
     def vstack(self, other: "IntMatrix") -> "IntMatrix":
         if self.cols != other.cols:
             raise ValueError("column mismatch in vstack")
-        return IntMatrix(self.rows + other.rows, self.cols, self.entries + other.entries)
+        return IntMatrix._of(self.rows + other.rows, self.cols, self.entries + other.entries)
 
     def take_rows(self, indices: Sequence[int]) -> "IntMatrix":
-        rows = [list(self.row(i)) for i in indices]
-        return IntMatrix.from_rows(rows, cols=self.cols)
+        indices = list(indices)
+        if not all(0 <= i < self.rows for i in indices):
+            raise IndexError(f"row index outside 0..{self.rows - 1}")
+        ent = tuple(x for i in indices for x in self.row(i))
+        return IntMatrix._of(len(indices), self.cols, ent)
 
     @property
     def is_zero(self) -> bool:
@@ -305,6 +325,95 @@ def is_unimodular(m: IntMatrix) -> bool:
 # Hermite form and lattices
 
 
+def _from_columns(rows: int, columns: Sequence[Sequence[int]]) -> IntMatrix:
+    """IntMatrix._of for columns of ints, each of length rows."""
+    return IntMatrix._of(rows, len(columns), tuple(x for row in zip(*columns) for x in row))
+
+
+def _reduce_later(basis: dict[int, list[int]], r: int) -> None:
+    """Reduce the basis column with pivot row r into [0, pivot) at every
+    later pivot row, top down."""
+    col = basis[r]
+    for pr in sorted(basis):
+        if pr > r:
+            p = basis[pr]
+            q = col[pr] // p[pr]
+            if q:
+                col = [x - q * y for x, y in zip(col, p)]
+    basis[r] = col
+
+
+def _echelon(columns: Iterable[list[int]], n: int) -> dict[int, list[int]]:
+    """Column echelon basis of the span of columns (each of length n),
+    keyed by pivot row, with positive pivots.
+
+    Columns go in one at a time (Kannan-Bachem order). An incoming column
+    that meets a basis column at its pivot row either drops a multiple of
+    it, when that pivot divides its entry, or merges with it by a
+    unimodular extended-gcd step that leaves the gcd in the basis column
+    and a zero in the incoming one; the incoming column then goes on down.
+    A basis column that is made or changed is reduced at once at every
+    later pivot row, which keeps entries from growing. Zero and dependent
+    columns vanish.
+    """
+    basis: dict[int, list[int]] = {}
+    for v in columns:
+        r = 0
+        while True:
+            r = next((i for i in range(r, n) if v[i]), n)
+            if r == n:
+                break
+            b = v[r]
+            p = basis.get(r)
+            if p is None:
+                basis[r] = v if b > 0 else [-x for x in v]
+                _reduce_later(basis, r)
+                break
+            a = p[r]
+            if b % a == 0:
+                q = b // a
+                v = [x - q * y for x, y in zip(v, p)]
+            else:
+                # s a + t b = g; the 2x2 transform [[s, t], [-b/g, a/g]] has determinant 1
+                g = math.gcd(a, b)
+                m = abs(b) // g
+                s = pow(a // g, -1, m) if m > 1 else 0
+                t = (g - s * a) // b
+                ag, bg = a // g, b // g
+                basis[r] = [s * x + t * y for x, y in zip(p, v)]
+                v = [ag * y - bg * x for x, y in zip(p, v)]
+                _reduce_later(basis, r)
+            r += 1
+    return basis
+
+
+def _hermite(basis: dict[int, list[int]]) -> list[list[int]]:
+    """An echelon basis in pivot order with every entry left of a pivot
+    reduced into [0, pivot): the canonical Hermite basis."""
+    rows = sorted(basis)
+    cols = [basis[r] for r in rows]
+    for j, r in enumerate(rows):
+        p = cols[j]
+        for i in range(j):
+            q = cols[i][r] // p[r]
+            if q:
+                cols[i] = [x - q * y for x, y in zip(cols[i], p)]
+    return cols
+
+
+def _with_identity(m: IntMatrix) -> list[list[int]]:
+    """The columns of [m; I]."""
+    c = m.cols
+    return [list(m.column(j)) + [int(i == j) for i in range(c)] for j in range(c)]
+
+
+def _zero_top(basis: dict[int, list[int]], top: int) -> list[list[int]]:
+    """The Hermite basis of the sublattice of vectors vanishing in the
+    first top rows, with those rows cut off. By the echelon shape these are
+    exactly the basis columns with pivot row top or below."""
+    return [col[top:] for col in _hermite({r: c for r, c in basis.items() if r >= top})]
+
+
 def hermite_column_form(m: IntMatrix) -> IntMatrix:
     """Canonical column Hermite form of the lattice spanned by the columns.
 
@@ -313,35 +422,8 @@ def hermite_column_form(m: IntMatrix) -> IntMatrix:
     [0, pivot). Zero and dependent columns collapse away, so the result
     is a basis and is unique for the column span.
     """
-    n = m.rows
     cols = [list(m.column(j)) for j in range(m.cols)]
-    fixed = 0
-    for row in range(n):
-        while True:
-            nz = [j for j in range(fixed, len(cols)) if cols[j][row] != 0]
-            if len(nz) <= 1:
-                break
-            j0 = min(nz, key=lambda j: (abs(cols[j][row]), j))
-            for j in nz:
-                if j == j0:
-                    continue
-                q = cols[j][row] // cols[j0][row]
-                if q:
-                    cols[j] = [x - q * y for x, y in zip(cols[j], cols[j0])]
-        nz = [j for j in range(fixed, len(cols)) if cols[j][row] != 0]
-        if not nz:
-            continue
-        j0 = nz[0]
-        cols[fixed], cols[j0] = cols[j0], cols[fixed]
-        if cols[fixed][row] < 0:
-            cols[fixed] = [-x for x in cols[fixed]]
-        p = cols[fixed][row]
-        for j in range(fixed):
-            q = cols[j][row] // p
-            if q:
-                cols[j] = [x - q * y for x, y in zip(cols[j], cols[fixed])]
-        fixed += 1
-    return IntMatrix.from_columns(n, cols[:fixed])
+    return _from_columns(m.rows, _hermite(_echelon(cols, m.rows)))
 
 
 @dataclass(frozen=True)
@@ -382,7 +464,9 @@ class Lattice:
     def generators(self) -> tuple[tuple[int, ...], ...]:
         return tuple(self.basis.column(j) for j in range(self.basis.cols))
 
+    @cached_property
     def _pivots(self) -> list[tuple[int, int]]:
+        """(row, value) of each basis column's pivot."""
         out = []
         for j in range(self.basis.cols):
             col = self.basis.column(j)
@@ -399,7 +483,7 @@ class Lattice:
             raise ValueError(f"vector length {len(v)} != ambient rank {self.ambient_rank}")
         w = list(_ints(v))
         coords = [0] * self.rank
-        for j, (pr, p) in enumerate(self._pivots()):
+        for j, (pr, p) in enumerate(self._pivots):
             if w[pr] % p:
                 return None
             q = w[pr] // p
@@ -422,11 +506,47 @@ class Lattice:
 
 
 def kernel_basis(m: IntMatrix) -> Lattice:
-    """Integer kernel {x : m x = 0} as a lattice in Z^cols. Always saturated."""
-    _, d, v, _ = _snf_with_inverses(m, ("V",))
-    r = sum(1 for x in d.diagonal() if x != 0)
-    cols = [list(v.column(j)) for j in range(r, m.cols)]
-    return Lattice.from_generators(m.cols, cols)
+    """Integer kernel {x : m x = 0} as a lattice in Z^cols. Always saturated.
+
+    The columns of [m; I] span {(m x, x)}; those of its Hermite form with
+    zero top are the (0, x) with m x = 0, so their bottoms are the
+    canonical basis of the kernel.
+    """
+    basis = _echelon(_with_identity(m), m.rows + m.cols)
+    return Lattice(m.cols, _from_columns(m.cols, _zero_top(basis, m.rows)))
+
+
+class HermiteSolver:
+    """Integer solve of A x = b for A of full column rank.
+
+    The Hermite form of [A; I] is [H; W] with H = A W the canonical basis of
+    the column span and W unimodular, so x = W c where c are the
+    coordinates of b in H. The solution is unique, so it equals any other
+    exact solver's. (A plain class: a dataclass would add about a
+    millisecond to every start.)
+    """
+
+    __slots__ = ("span", "transform")
+
+    def __init__(self, span: Lattice, transform: IntMatrix) -> None:
+        self.span = span
+        self.transform = transform
+
+    def solve(self, b: Sequence[int]) -> tuple[int, ...] | None:
+        """The integer solution x of A x = b, or None if none exists."""
+        c = self.span.coordinates_of(b)
+        return None if c is None else self.transform.matvec(c)
+
+
+def hermite_solver(m: IntMatrix) -> HermiteSolver:
+    """The HermiteSolver of m; raises ValueError if its columns are dependent."""
+    n, k = m.rows, m.cols
+    cols = _hermite(_echelon(_with_identity(m), n + k))
+    # [m; I] has rank k, so a missing pivot in the top rows means m w = 0
+    if any(not any(col[:n]) for col in cols):
+        raise ValueError("matrix columns are linearly dependent")
+    span = Lattice(n, _from_columns(n, [col[:n] for col in cols]))
+    return HermiteSolver(span, _from_columns(k, [col[n:] for col in cols]))
 
 
 def solve_integer(m: IntMatrix, b: Sequence[int]) -> tuple[int, ...] | None:
@@ -435,16 +555,20 @@ def solve_integer(m: IntMatrix, b: Sequence[int]) -> tuple[int, ...] | None:
 
 
 def lattice_intersect(a: Lattice, b: Lattice) -> Lattice:
-    """Intersection of two lattices in the same ambient Z^n."""
+    """Intersection of two lattices in the same ambient Z^n.
+
+    The columns of [[A, B], [A, 0]] span {(A x + B y, A x)}; those of its
+    Hermite form with zero top have A x = -B y, so their bottoms are the
+    canonical basis of L(A) cap L(B).
+    """
     if a.ambient_rank != b.ambient_rank:
         raise ValueError("ambient rank mismatch")
     n = a.ambient_rank
     if a.rank == 0 or b.rank == 0:
         return Lattice.zero(n)
-    stacked = a.basis.hstack(b.basis.neg())
-    ker = kernel_basis(stacked)
-    upart = ker.basis.take_rows(range(a.rank))
-    return Lattice.from_matrix_columns(a.basis.mul(upart))
+    zero = [0] * n
+    cols = [list(y) + zero for y in b.generators()] + [list(x) * 2 for x in a.generators()]
+    return Lattice(n, _from_columns(n, _zero_top(_echelon(cols, 2 * n), n)))
 
 
 def lattice_sum(a: Lattice, b: Lattice) -> Lattice:
@@ -475,6 +599,11 @@ class AbelianGroup:
                 raise ValueError(f"invariant factors not a divisibility chain: {prev}, {f}")
             prev = f
 
+    @classmethod
+    def from_smith_diagonal(cls, rank: int, diagonal: Sequence[int]) -> "AbelianGroup":
+        """Z^rank modulo relations whose Smith form has this diagonal."""
+        return cls(rank - sum(1 for x in diagonal if x != 0), tuple(x for x in diagonal if x > 1))
+
     def __str__(self) -> str:
         parts = []
         if self.free_rank == 1:
@@ -485,8 +614,10 @@ class AbelianGroup:
         return " + ".join(parts) if parts else "0"
 
 
-def quotient_presentation(numerator: Lattice, denominator: Lattice) -> AbelianGroup:
-    """numerator / denominator as an abstract group. Requires inclusion."""
+def relation_matrix(numerator: Lattice, denominator: Lattice) -> IntMatrix:
+    """Coordinates of the denominator's basis in the numerator's canonical
+    basis, as columns: the relations of numerator / denominator. Requires
+    inclusion."""
     if numerator.ambient_rank != denominator.ambient_rank:
         raise ValueError("ambient rank mismatch")
     coords = []
@@ -494,11 +625,14 @@ def quotient_presentation(numerator: Lattice, denominator: Lattice) -> AbelianGr
         x = numerator.coordinates_of(g)
         if x is None:
             raise ValueError(f"denominator generator {list(g)} not inside numerator")
-        coords.append(list(x))
-    diag = smith_diagonal(IntMatrix.from_columns(numerator.rank, coords))
-    rank_rel = sum(1 for x in diag if x != 0)
-    factors = tuple(x for x in diag if x > 1)
-    return AbelianGroup(numerator.rank - rank_rel, factors)
+        coords.append(x)
+    return _from_columns(numerator.rank, coords)
+
+
+def quotient_presentation(numerator: Lattice, denominator: Lattice) -> AbelianGroup:
+    """numerator / denominator as an abstract group. Requires inclusion."""
+    diag = smith_diagonal(relation_matrix(numerator, denominator))
+    return AbelianGroup.from_smith_diagonal(numerator.rank, diag)
 
 
 def orthogonal_complement(lat: Lattice, pairing: IntMatrix) -> Lattice:

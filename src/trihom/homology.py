@@ -19,7 +19,6 @@ from .exactalg import (
     AbelianGroup,
     IntMatrix,
     Lattice,
-    _snf_with_inverses,
     kernel_basis,
     lattice_intersect,
     lattice_sum,
@@ -185,7 +184,7 @@ def h_closed_forms(d: Diagram) -> HomologyResult:
     lg = d.lattices["gamma"]
     h0 = AbelianGroup(1)
     h1 = quotient_presentation(Lattice.standard(d.sig.n), lattice_sum(d.alpha_beta_sum, lg))
-    h2 = quotient_presentation(*d.h2_lattices)
+    h2 = AbelianGroup.from_smith_diagonal(d.h2_lattices[0].rank, d.h2_relations[0])
     h3 = AbelianGroup(lattice_intersect(d.intersections["alpha", "beta"], lg).rank)
     return HomologyResult(h0, h1, h2, h3, source="closed")
 
@@ -253,19 +252,11 @@ def intersection_form(d: Diagram) -> IntersectionForm:
     surviving free generators.
     """
     require_valid(d)
-    num, den = d.h2_lattices
+    num = d.h2_lattices[0]
     if num.rank == 0:
         return IntersectionForm((), IntMatrix.zeros(0, 0), ())
 
-    coord_cols = []
-    for gen in den.generators():
-        c = num.coordinates_of(gen)
-        if c is None:
-            raise RuntimeError("denominator lattice escaped the numerator")
-        coord_cols.append(list(c))
-    cmat = IntMatrix.from_columns(num.rank, coord_cols)
-    _, dg, _, uinv = _snf_with_inverses(cmat, ("Uinv",))
-    diag = dg.diagonal()
+    diag, uinv = d.h2_relations
     rank_rel = sum(1 for t in diag if t != 0)
     torsion = tuple(t for t in diag if t > 1)
 

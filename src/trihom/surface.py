@@ -20,14 +20,18 @@ from functools import cached_property
 from typing import Sequence
 
 from .exactalg import (
+    HermiteSolver,
     IntMatrix,
     Lattice,
     SmithDecomposition,
     _ints,
+    _snf_with_inverses,
+    hermite_solver,
     is_unimodular,
     lattice_intersect,
     lattice_sum,
     orthogonal_complement,
+    relation_matrix,
     smith_diagonal,
     snf,
 )
@@ -181,7 +185,7 @@ class Diagram:
     in the standard configuration; it cannot be verified from classes alone
     and gates the y-route computations.
 
-    The validation report, the lattices every route reads and the Smith
+    The validation report, the lattices every route reads and the
     factorizations the routes solve against are computed on first use and
     kept on the diagram, so each is computed once however many routes run.
     """
@@ -283,10 +287,19 @@ class Diagram:
         return num, den
 
     @cached_property
-    def family_solvers(self) -> dict[str, SmithDecomposition]:
-        """Smith factorization of each family matrix: family coordinates of
-        any class in its span by one solve."""
-        return {f: snf(self.family_matrix(f)) for f in _FAMILIES}
+    def h2_relations(self) -> tuple[tuple[int, ...], IntMatrix]:
+        """Smith diagonal and U^-1 of the H_2 relation matrix (the
+        coordinates of the denominator's basis in the numerator's): the
+        diagonal gives H_2, U^-1 the form's basis of the numerator."""
+        _, dg, _, uinv = _snf_with_inverses(relation_matrix(*self.h2_lattices), ("Uinv",))
+        return dg.diagonal(), uinv
+
+    @cached_property
+    def family_solvers(self) -> dict[str, HermiteSolver]:
+        """Hermite solver of each family matrix: family coordinates of any
+        class in its span by one solve. validate requires each family to
+        have full column rank, so the coordinates are unique."""
+        return {f: hermite_solver(self.family_matrix(f)) for f in _FAMILIES}
 
     @cached_property
     def alpha_beta_solver(self) -> SmithDecomposition:
@@ -300,7 +313,9 @@ class DiagramMatrices:
     """Matrix-mode diagram: the pairing data of a standard-position diagram.
 
     Rows of q_gamma_beta / q_alpha_gamma index the gamma / alpha curves;
-    q_a_gamma pairs the l page arcs against the gamma curves.
+    q_a_gamma pairs the l page arcs against the gamma curves. k, when
+    given, is the supplied (k_1, k_2, k_3); validation checks it against k1
+    and the bounds.
     """
 
     sig: SurfaceSignature
@@ -309,6 +324,7 @@ class DiagramMatrices:
     q_alpha_gamma: IntMatrix
     q_a_gamma: IntMatrix
     q_beta_alpha: IntMatrix | None = None
+    k: tuple[int, int, int] | None = None
 
     @cached_property
     def validation(self) -> ValidationReport:
@@ -497,6 +513,16 @@ def validate_matrices(m: DiagramMatrices) -> ValidationReport:
                 f"rank {rank} exceeds {limit} allowed by k1={m.k1}"
                 if rank > limit
                 else f"rank {rank} within bound {limit}",
+            )
+        )
+
+    if m.k is not None:
+        checks.append(
+            ValidationCheck(
+                "k_matches_supplied",
+                m.k[0] == m.k1 and all(sig.l <= ki <= sig.page_rank for ki in m.k),
+                f"supplied k={tuple(m.k)} needs k_1 = k1={m.k1} and every entry in "
+                f"[{sig.l}, {sig.page_rank}]",
             )
         )
 

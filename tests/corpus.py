@@ -94,6 +94,30 @@ def det_int(m: IntMatrix) -> int:
     return int(det)
 
 
+def signature_int(m: IntMatrix) -> int:
+    """Signature of a symmetric integer matrix by exact congruence
+    diagonalization over the rationals (Sylvester's law of inertia)."""
+    work = [[Fraction(x) for x in m.row(i)] for i in range(m.rows)]
+    sig = 0
+    while work:
+        n = len(work)
+        i = next((i for i in range(n) if work[i][i] != 0), None)
+        if i is None:
+            pair = next(((i, j) for i in range(n) for j in range(n) if work[i][j] != 0), None)
+            if pair is None:
+                break  # the zero form adds nothing
+            # with a zero diagonal, adding row and column j to i leaves 2 w_ij there
+            i, j = pair
+            work[i] = [a + b for a, b in zip(work[i], work[j])]
+            for row in work:
+                row[i] += row[j]
+        pivot = work[i][i]
+        sig += 1 if pivot > 0 else -1
+        rest = [k for k in range(n) if k != i]
+        work = [[work[r][c] - work[r][i] * work[i][c] / pivot for c in rest] for r in rest]
+    return sig
+
+
 def transvect(d: Diagram, c: Sequence[int]) -> Diagram:
     """Twist every curve along the class c and transport the arc system.
 

@@ -7,7 +7,7 @@ from pathlib import Path
 
 import pytest
 
-from trihom import charclass, cli, exactalg, homology, surface
+from trihom import charclass, cli, exactalg, surface
 from trihom.cli import ParseError, main, parse, parse_obj, run
 from trihom.exactalg import AbelianGroup, IntMatrix, Lattice
 from trihom.homology import HomologyResult
@@ -154,6 +154,28 @@ class TestExitCodes:
         code, out = run("validate", crossing)
         assert code == 1
         assert "intra_family_disjoint" in out
+
+    def test_matrix_mode_checks_supplied_k(self, tmp_path: Path) -> None:
+        fixture = json.loads(Path(MATRIX_FIXTURE).read_text())
+        # k_1 must equal k1 = 1 and every k_i sit in [l, g+p+b-1] = [1, 3]
+        for k in ([9, 9, 9], [2, 1, 1], [1, 0, 3]):
+            path = write_json(tmp_path, {**fixture, "k": k})
+            for command in ("validate", "report"):
+                code, out = run(command, path, fmt="json")
+                assert code == 1, (k, command)
+                checks = json.loads(out)["validation"]["checks"]
+                assert [c["name"] for c in checks if not c["passed"]] == ["k_matches_supplied"]
+            code, out = run("w2", path)
+            assert code == 1 and "k_matches_supplied" in out
+        path = write_json(tmp_path, {**fixture, "k": [1, 3, 2]})
+        code, out = run("validate", path, fmt="json")
+        assert code == 0
+        assert json.loads(out)["validation"]["checks"][-1] == {
+            "name": "k_matches_supplied",
+            "passed": True,
+            "detail": "supplied k=(1, 3, 2) needs k_1 = k1=1 and every entry in [1, 3]",
+        }
+        assert run("report", path)[0] == 0
 
     def test_curve_commands_unavailable_in_matrix_mode(self) -> None:
         assert run("homology", MATRIX_FIXTURE)[0] == 3
@@ -336,6 +358,16 @@ class TestReport:
             factored.append((m, tuple(keep)))
             return real_snf(m, keep)
 
+        relations = []  # (module, numerator, denominator, matrix) of every relation matrix
+        real_relation_matrix = exactalg.relation_matrix
+
+        def recording_relation_matrix(module):
+            def wrapper(num, den):
+                out = real_relation_matrix(num, den)
+                relations.append((module, num, den, out))
+                return out
+            return wrapper
+
         linking_calls = []
         real_linking = {n: getattr(charclass, n) for n in ("linking_matrix_y", "linking_matrix_z")}
 
@@ -350,13 +382,15 @@ class TestReport:
         monkeypatch.setattr(Lattice, "from_matrix_columns", classmethod(recording_build))
         monkeypatch.setattr(Lattice, "__post_init__", recording_lattice_init)
         monkeypatch.setattr(IntMatrix, "hstack", recording_hstack)
-        for module in (exactalg, homology):
+        for module in (exactalg, surface):
+            monkeypatch.setattr(module, "relation_matrix", recording_relation_matrix(module))
             monkeypatch.setattr(module, "_snf_with_inverses", recording_snf)
         for name in real_linking:
             monkeypatch.setattr(charclass, name, counting(name))
 
         for path in (CLASS_FIXTURE, STANDARD_FIXTURE):
-            logs = (validations, family_matrices, built, bases, stacked, factored, linking_calls)
+            logs = (validations, family_matrices, built, bases, stacked, factored, relations,
+                    linking_calls)
             for log in logs:
                 log.clear()
             assert run("report", path, fmt="json")[0] == 0
@@ -367,10 +401,14 @@ class TestReport:
             }
             for family, handed_out in by_family.items():
                 assert sum(any(b is m for b in built) for m in handed_out) == 1, family
-                # each family matrix is factored once, to solve against it
-                assert sum(any(f is m for f, _ in factored) for m in handed_out) <= 1, family
-            # and so is [alpha | beta]
+                # the family solves take a Hermite transform, never a Smith form
+                assert not any(f is m for f, _ in factored for m in handed_out), family
+            # [alpha | beta] is factored once
             assert sum(f is m for f, _ in factored for m in stacked) <= 1
+            # and so is the H_2 relation matrix, for both H_2 and the form
+            (_, num, den, h2), = [r for r in relations if r[0] is surface]
+            assert sum(f is h2 for f, _ in factored) == 1
+            assert [r for r in relations if (r[1], r[2]) == (num, den)] == [(surface, num, den, h2)]
             # coordinates in a lattice come from its Hermite basis, not a Smith solve
             solved = [f for f, keep in factored if "U" in keep]
             assert not any(f is b for f in solved for b in bases)

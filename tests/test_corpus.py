@@ -1,8 +1,22 @@
 """Structural laws checked across the whole diagram corpus."""
 
+import random
+
 import pytest
 
-from corpus import CorpusEntry, corpus, det_int
+from corpus import (
+    PATTERNS,
+    CorpusEntry,
+    corpus,
+    det_int,
+    signature_int,
+    slide,
+    standard_diagram,
+    torsion_pattern,
+    transvect,
+)
+from trihom import exactalg
+from trihom.cli import build_report
 from trihom.charclass import (
     linking_matrix_y,
     linking_matrix_z,
@@ -194,3 +208,69 @@ def test_moves_preserve_invariants(moved: CorpusEntry) -> None:
         assert linking_matrix_y(base).to_rows() == linking_matrix_y(other).to_rows()
         assert w2_y(base).coefficients == w2_y(other).coefficients
         assert spin_y(base).spin == spin_y(other).spin
+
+
+def form_invariants(form: dict) -> tuple:
+    """Rank, |det|, parity, signature and torsion of a report's form."""
+    m = IntMatrix.from_rows(form["matrix"], cols=len(form["matrix"]))
+    even = all(m.entry(i, i) % 2 == 0 for i in range(m.rows))
+    return m.rows, abs(det_int(m)), even, signature_int(m), form["torsion_invariant_factors"]
+
+
+def scrambled(d, rng: random.Random, moves: int):
+    """d moved by seeded gamma slides and transvections along e_i +- e_j.
+    Only gamma slides: sliding alpha or beta would leave standard position."""
+    n, handles = d.sig.n, d.sig.curves_per_family
+    for _ in range(moves):
+        if rng.random() < 0.5:
+            target, source = rng.sample(range(handles), 2)
+            d = slide(d, "gamma", target, source, rng.choice((-2, -1, 1, 2)))
+        else:
+            i, j = rng.sample(range(2 * d.sig.g), 2)
+            c = [0] * n
+            c[i], c[j] = 1, rng.choice((-1, 1))
+            d = transvect(d, c)
+    return d
+
+
+GROWTH_CASES = {
+    # shared handles first: Z/3 and a free class in H_1, then odd and even form blocks
+    "odd": (7, [torsion_pattern(3), PATTERNS["P5"], torsion_pattern(2), PATTERNS["P2"],
+                PATTERNS["P4"], torsion_pattern(3), PATTERNS["P3"], PATTERNS["P2"]]),
+    "even": (3, [torsion_pattern(3), PATTERNS["P5"], torsion_pattern(2), torsion_pattern(2),
+                 PATTERNS["P4"], PATTERNS["P3"], torsion_pattern(2), PATTERNS["P4"]]),
+}
+
+
+@pytest.mark.parametrize("case", sorted(GROWTH_CASES))
+def test_report_survives_entry_growth(case: str, monkeypatch) -> None:
+    # 400 moves take a g=8 diagram to 50-90-bit entries; every invariant the
+    # report prints must come out as for the unmoved diagram
+    seed, patterns = GROWTH_CASES[case]
+    base = standard_diagram(8, 1, 2, patterns)
+    moved = scrambled(base, random.Random(seed), 400)
+    bits = max(abs(x).bit_length() for f in ("alpha", "beta", "gamma")
+               for v in moved.family(f) for x in v)
+    assert 50 <= bits <= 90
+
+    peak = [0]  # largest entry of any Hermite echelon basis, in bits
+    real_echelon = exactalg._echelon
+
+    def recording_echelon(columns, n):
+        basis = real_echelon(columns, n)
+        peak[0] = max([peak[0]] + [abs(x).bit_length() for c in basis.values() for x in c])
+        return basis
+
+    monkeypatch.setattr(exactalg, "_echelon", recording_echelon)
+    (code_a, want), (code_b, got) = build_report(base), build_report(moved)
+    # reducing each merged column keeps the Hermite entries near the input
+    # size (about 4x here); merging without it reaches 18-160 kbit
+    assert peak[0] <= 8 * bits
+    assert code_a == code_b == 0
+    assert got["homology"] == want["homology"]
+    assert got["homology"]["agree"]
+    assert got["inferred_k"] == want["inferred_k"]
+    assert form_invariants(got["intersection_form"]) == form_invariants(want["intersection_form"])
+    for route in ("y", "z"):
+        assert got["spin"][route]["spin"] == want["spin"][route]["spin"]
+

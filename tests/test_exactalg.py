@@ -12,6 +12,7 @@ from trihom.exactalg import (
     Lattice,
     _snf_with_inverses,
     hermite_column_form,
+    hermite_solver,
     is_unimodular,
     kernel_basis,
     lattice_intersect,
@@ -72,6 +73,16 @@ class TestIntMatrix:
         with pytest.raises(ValueError, match=r"non-integer entry 1\.5"):
             IntMatrix.from_columns(2, [(1, 2), (1.5, 4)])
         assert IntMatrix.from_columns(1, [(np.int32(-2),)]).to_rows() == [[-2]]
+
+    def test_constructor_rejects_bad_entries_and_shapes(self) -> None:
+        with pytest.raises(ValueError, match=r"non-integer entry 1\.5"):
+            IntMatrix(1, 1, (1.5,))
+        with pytest.raises(ValueError, match="negative matrix shape"):
+            IntMatrix.from_columns(-1, [])
+
+    def test_take_rows_rejects_missing_rows(self) -> None:
+        with pytest.raises(IndexError):
+            mat([[1, 2]]).take_rows([1])
 
     def test_empty_shapes(self) -> None:
         z = IntMatrix.zeros(0, 3)
@@ -169,6 +180,145 @@ class TestHermiteColumnForm:
                 3, [m.column(j) for j in rng.sample(range(3), 3)]
             )
             assert hermite_column_form(shuffled).to_rows() == h.to_rows()
+
+
+# Oracles: the Euclid-round Hermite form and the Smith-transform kernel,
+# intersection and solve that the column-insertion core replaced.
+
+
+def euclid_hermite(m: IntMatrix) -> IntMatrix:
+    n = m.rows
+    cols = [list(m.column(j)) for j in range(m.cols)]
+    fixed = 0
+    for row in range(n):
+        while True:
+            nz = [j for j in range(fixed, len(cols)) if cols[j][row] != 0]
+            if len(nz) <= 1:
+                break
+            j0 = min(nz, key=lambda j: (abs(cols[j][row]), j))
+            for j in nz:
+                if j != j0:
+                    q = cols[j][row] // cols[j0][row]
+                    cols[j] = [x - q * y for x, y in zip(cols[j], cols[j0])]
+        nz = [j for j in range(fixed, len(cols)) if cols[j][row] != 0]
+        if not nz:
+            continue
+        cols[fixed], cols[nz[0]] = cols[nz[0]], cols[fixed]
+        if cols[fixed][row] < 0:
+            cols[fixed] = [-x for x in cols[fixed]]
+        for j in range(fixed):
+            q = cols[j][row] // cols[fixed][row]
+            cols[j] = [x - q * y for x, y in zip(cols[j], cols[fixed])]
+        fixed += 1
+    return IntMatrix.from_columns(n, cols[:fixed])
+
+
+def smith_kernel(m: IntMatrix) -> IntMatrix:
+    _, d, v, _ = _snf_with_inverses(m, ("V",))
+    r = sum(1 for x in d.diagonal() if x != 0)
+    return euclid_hermite(IntMatrix.from_columns(m.cols, [v.column(j) for j in range(r, m.cols)]))
+
+
+def smith_intersection(a: Lattice, b: Lattice) -> IntMatrix:
+    if a.rank == 0 or b.rank == 0:
+        return IntMatrix(a.ambient_rank, 0, ())
+    ker = smith_kernel(a.basis.hstack(b.basis.neg()))
+    return euclid_hermite(a.basis.mul(ker.take_rows(range(a.rank))))
+
+
+def shaped(rows: int, cols: int, entries) -> IntMatrix:
+    return IntMatrix(rows, cols, tuple(entries))
+
+
+def mixed_matrix(rng: random.Random, rows: int, cols: int) -> IntMatrix:
+    """Small, rank-deficient, 60-200-bit, or with a zero row and column."""
+    kind = rng.randrange(4)
+    if kind == 1 and rows and cols:
+        r = rng.randint(0, min(rows, cols) - 1)
+        left = shaped(rows, r, (rng.randint(-4, 4) for _ in range(rows * r)))
+        return left.mul(shaped(r, cols, (rng.randint(-4, 4) for _ in range(r * cols))))
+    if kind == 2:
+        bits = rng.randint(60, 200)
+        return shaped(rows, cols, (rng.randint(-(2**bits), 2**bits) for _ in range(rows * cols)))
+    m = shaped(rows, cols, (rng.randint(-9, 9) for _ in range(rows * cols)))
+    if kind == 3 and rows and cols:
+        i, j = rng.randrange(rows), rng.randrange(cols)
+        m = shaped(rows, cols, (0 if (r == i or c == j) else m.entry(r, c)
+                                for r in range(rows) for c in range(cols)))
+    return m
+
+
+def unimodular(rng: random.Random, n: int) -> IntMatrix:
+    """A random product of elementary column operations."""
+    cols = [[int(i == j) for i in range(n)] for j in range(n)]
+    for _ in range(3 * n):
+        i, j = rng.sample(range(n), 2) if n > 1 else (0, 0)
+        if i != j:
+            q = rng.choice((-3, -2, -1, 1, 2, 3))
+            cols[i] = [x + q * y for x, y in zip(cols[i], cols[j])]
+        if rng.random() < 0.3:
+            cols[i] = [-x for x in cols[i]]
+    return IntMatrix.from_columns(n, cols)
+
+
+class TestHermiteCoreAgainstOracles:
+    SHAPES = [(0, 0), (0, 3), (3, 0), (1, 1)] + [(r, c) for r in range(1, 6) for c in range(1, 6)]
+
+    def cases(self, seed: int):
+        rng = random.Random(seed)
+        for rows, cols in self.SHAPES * 3:
+            yield rng, mixed_matrix(rng, rows, cols)
+
+    def test_hermite_matches_euclid_rounds(self) -> None:
+        for _, m in self.cases(31):
+            assert hermite_column_form(m) == euclid_hermite(m)
+
+    def test_hermite_depends_only_on_the_span(self) -> None:
+        for rng, m in self.cases(37):
+            h = hermite_column_form(m)
+            if m.cols:
+                assert hermite_column_form(m.mul(unimodular(rng, m.cols))) == h
+            cols = [m.column(j) for j in range(m.cols)]
+            cols += [rng.choice(cols) for _ in range(rng.randint(0, 3))] if cols else []
+            rng.shuffle(cols)
+            assert hermite_column_form(IntMatrix.from_columns(m.rows, cols)) == h
+
+    def test_kernel_matches_smith_kernel(self) -> None:
+        for _, m in self.cases(41):
+            ker = kernel_basis(m)
+            assert ker.ambient_rank == m.cols
+            assert ker.basis == smith_kernel(m)
+
+    def test_intersection_matches_smith_intersection(self) -> None:
+        rng = random.Random(43)
+        for n in (0, 1, 2, 3, 4, 5) * 6:
+            # both contain a multiple of a common part, so most meets are nonzero
+            common = mixed_matrix(rng, n, rng.randint(min(n, 1), n))
+            scaled = shaped(n, common.cols, (rng.choice((1, 2, -3)) * x for x in common.entries))
+            a = Lattice.from_matrix_columns(common.hstack(mixed_matrix(rng, n, rng.randint(0, 2))))
+            b = Lattice.from_matrix_columns(scaled.hstack(mixed_matrix(rng, n, rng.randint(0, 2))))
+            met = lattice_intersect(a, b)
+            assert met.ambient_rank == n
+            assert met.basis == smith_intersection(a, b)
+
+    def test_full_rank_solve_matches_smith_solve(self) -> None:
+        rng = random.Random(47)
+        solved = 0
+        for rows, cols in self.SHAPES * 3:
+            m = mixed_matrix(rng, rows, cols)
+            diag = _snf_with_inverses(m)[1].diagonal()
+            if sum(1 for x in diag if x != 0) < m.cols:
+                with pytest.raises(ValueError, match="dependent"):
+                    hermite_solver(m)
+                continue
+            solver, oracle = hermite_solver(m), snf(m)
+            inside = m.matvec([rng.randint(-5, 5) for _ in range(m.cols)])
+            anywhere = tuple(rng.randint(-5, 5) for _ in range(m.rows))
+            for b in (inside, anywhere):
+                assert solver.solve(b) == oracle.solve(b)
+            assert m.matvec(solver.solve(inside)) == inside
+            solved += 1
+        assert solved >= 20
 
 
 class TestUnimodularity:

@@ -238,7 +238,7 @@ class TestValidation:
         assert "arcs_unimodular" in [c.name for c in validate(bad).failures()]
 
 
-def section_six_matrices(k1: int = 1) -> DiagramMatrices:
+def section_six_matrices(k1: int = 1, k: tuple[int, int, int] | None = None) -> DiagramMatrices:
     return DiagramMatrices(
         sig=SurfaceSignature(2, 0, 2),
         k1=k1,
@@ -246,6 +246,7 @@ def section_six_matrices(k1: int = 1) -> DiagramMatrices:
         q_alpha_gamma=IntMatrix.from_rows([[0, -1], [1, 1]]),
         q_a_gamma=IntMatrix.from_rows([[1, 0]]),
         q_beta_alpha=IntMatrix.from_rows([[1, 0], [0, 1]]),
+        k=k,
     )
 
 
@@ -257,6 +258,16 @@ class TestMatrixModeValidation:
         # with k1 = 2 the pairing of beta against alpha may have rank at most 1
         names = [c.name for c in validate_matrices(section_six_matrices(k1=2)).failures()]
         assert names == ["q_beta_alpha_rank"]
+
+    def test_supplied_k_checked_against_k1_and_bounds(self) -> None:
+        names = [c.name for c in validate_matrices(section_six_matrices()).checks]
+        assert "k_matches_supplied" not in names
+        consistent = validate_matrices(section_six_matrices(k=(1, 1, 3)))
+        assert consistent.ok and consistent.checks[-1].name == "k_matches_supplied"
+        # k_1 differs from k1, then k_3 leaves [l, g+p+b-1] = [1, 3]
+        for k in ((2, 2, 2), (1, 2, 4)):
+            names = [c.name for c in validate_matrices(section_six_matrices(k=k)).failures()]
+            assert names == ["k_matches_supplied"]
 
     def test_shape_mismatch_fails(self) -> None:
         mats = DiagramMatrices(
