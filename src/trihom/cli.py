@@ -2,7 +2,8 @@
 
 Reads a diagram file (JSON, schema in the README), runs the requested
 computation, and prints a text or JSON report. Exit codes: 0 success,
-1 rejected diagram, 2 parse error, 3 unsatisfied precondition.
+1 rejected diagram, 2 parse error, 3 unsatisfied precondition, 4 internal
+error (two routes disagree; the printed section says which).
 
 JSON reports are byte-deterministic: keys are sorted, matrices are
 row-major nested arrays, and every lattice basis underneath is canonical.
@@ -321,7 +322,8 @@ def _routes_json(section: str, data, w2, routes: Sequence[str], named: bool) -> 
 
     A route whose precondition fails is marked skipped with the reason,
     unless it was asked for by name; then the failure propagates. Homology
-    by several routes also says whether they agree.
+    by several routes also says whether they agree; homology or spin
+    routes that disagree add an internal_error.
     """
     out: dict[str, Any] = {}
     for name in routes:
@@ -338,6 +340,8 @@ def _routes_json(section: str, data, w2, routes: Sequence[str], named: bool) -> 
         out["agree"] = all(r == done[0] for r in done)
         if not out["agree"]:
             out["internal_error"] = "homology methods disagree; this is a bug"
+    if section == "spin" and len({r["spin"] for r in out.values() if "skipped" not in r}) > 1:
+        out["internal_error"] = "spin verdicts of the y and z routes disagree; this is a bug"
     return out
 
 
@@ -350,7 +354,8 @@ def build_report(
 
     The report holds everything computable for this diagram, with
     unavailable sections and routes marked skipped with a reason. validate
-    and report show a failing validation in the payload and exit 1. The
+    and report show a failing validation in the payload and exit 1; a
+    section that carries an internal_error makes the exit code 4. The
     other commands compute only their own sections, and only the routes
     --complex names; they raise DiagramError on a failing validation and
     PreconditionError when the diagram cannot give what they print.
@@ -392,7 +397,8 @@ def build_report(
         put("intersection_form", lambda: _form_json(intersection_form(data)))
     for section in ("linking", "w2", "spin"):
         put(section, lambda: _routes_json(section, data, w2, routes, named))
-    return 0, rep
+    failed = any(isinstance(v, dict) and "internal_error" in v for v in rep.values())
+    return (4 if failed else 0), rep
 
 
 def run(

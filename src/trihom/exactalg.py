@@ -1,11 +1,13 @@
 """Exact linear algebra over the integers.
 
-Immutable integer matrices, Smith normal form with the transforms a caller
-asks for (its factorization solves any number of right-hand sides),
-column-style Hermite form, and lattice operations (intersection, sum,
-quotient presentation, orthogonal complement). Kernels, intersections and
-full-rank solves each come from one Hermite form of a stacked matrix; Smith
-forms serve only where a Smith diagonal or basis is the answer. Everything
+Immutable integer matrices, column-style Hermite form, lattice operations
+(intersection, sum, quotient presentation, orthogonal complement) and Smith
+normal form. Every lattice question (spans, kernels, intersections,
+saturation, unimodularity, ranks, integer solves) is answered by a Hermite
+form: one Hermite form of [A; I] gives the span, the kernel and one
+solution of A x = b for any matrix A, unique when the columns are
+independent. Smith forms serve only where the answer is a Smith form: the
+invariant factors of a quotient and the basis they come with. Everything
 runs on Python ints, so there is no overflow and no rounding anywhere.
 Empty matrices (zero rows or zero columns) are legal inputs throughout.
 """
@@ -309,18 +311,6 @@ def snf(m: IntMatrix) -> SmithDecomposition:
     return SmithDecomposition(u, d, v)
 
 
-def smith_diagonal(m: IntMatrix) -> tuple[int, ...]:
-    """Diagonal of the Smith form of m; no transform is built."""
-    return _snf_with_inverses(m)[1].diagonal()
-
-
-def is_unimodular(m: IntMatrix) -> bool:
-    """True iff m is square with determinant +-1."""
-    if m.rows != m.cols:
-        return False
-    return all(x == 1 for x in smith_diagonal(m))
-
-
 # ---------------------------------------------------------------------------
 # Hermite form and lattices
 
@@ -426,6 +416,11 @@ def hermite_column_form(m: IntMatrix) -> IntMatrix:
     return _from_columns(m.rows, _hermite(_echelon(cols, m.rows)))
 
 
+def is_unimodular(m: IntMatrix) -> bool:
+    """True iff m is square with determinant +-1: its columns span Z^rows."""
+    return m.rows == m.cols and hermite_column_form(m) == IntMatrix.identity(m.rows)
+
+
 @dataclass(frozen=True)
 class Lattice:
     """Subgroup of Z^ambient_rank, stored via its canonical Hermite basis."""
@@ -494,59 +489,52 @@ class Lattice:
         return tuple(coords) if all(x == 0 for x in w) else None
 
     def is_saturated(self) -> bool:
-        """True iff Z^n / self is torsion-free."""
-        if self.rank == 0:
-            return True
-        return all(x == 1 for x in smith_diagonal(self.basis)[: self.rank])
-
-    def saturation(self) -> "Lattice":
-        """Smallest saturated lattice containing self."""
-        perp = kernel_basis(self.basis.transpose())
-        return kernel_basis(perp.basis.transpose())
-
-
-def kernel_basis(m: IntMatrix) -> Lattice:
-    """Integer kernel {x : m x = 0} as a lattice in Z^cols. Always saturated.
-
-    The columns of [m; I] span {(m x, x)}; those of its Hermite form with
-    zero top are the (0, x) with m x = 0, so their bottoms are the
-    canonical basis of the kernel.
-    """
-    basis = _echelon(_with_identity(m), m.rows + m.cols)
-    return Lattice(m.cols, _from_columns(m.cols, _zero_top(basis, m.rows)))
+        """True iff Z^n / self is torsion-free: iff the gcd of the basis's
+        maximal minors is 1, iff the rows of the basis span Z^rank."""
+        return hermite_column_form(self.basis.transpose()) == IntMatrix.identity(self.rank)
 
 
 class HermiteSolver:
-    """Integer solve of A x = b for A of full column rank.
+    """Span, kernel and integer solve of A x = b for any matrix A.
 
-    The Hermite form of [A; I] is [H; W] with H = A W the canonical basis of
-    the column span and W unimodular, so x = W c where c are the
-    coordinates of b in H. The solution is unique, so it equals any other
-    exact solver's. (A plain class: a dataclass would add about a
-    millisecond to every start.)
+    The Hermite form of [A; I] has columns [H; W] with nonzero top and
+    [0; K] with zero top. H = A W is the canonical basis of the column span
+    of A, K the canonical basis of its kernel, and x = W c solves A x = b
+    when c are the coordinates of b in H. That is one solution; the others
+    differ from it by the kernel, so it is unique when the columns of A are
+    independent. (A plain class: a dataclass would add about a millisecond
+    to every start.)
     """
 
-    __slots__ = ("span", "transform")
+    __slots__ = ("span", "transform", "kernel")
 
-    def __init__(self, span: Lattice, transform: IntMatrix) -> None:
+    def __init__(self, span: Lattice, transform: IntMatrix, kernel: Lattice) -> None:
         self.span = span
         self.transform = transform
+        self.kernel = kernel
 
     def solve(self, b: Sequence[int]) -> tuple[int, ...] | None:
-        """The integer solution x of A x = b, or None if none exists."""
+        """One integer solution x of A x = b, or None if none exists."""
         c = self.span.coordinates_of(b)
         return None if c is None else self.transform.matvec(c)
 
 
 def hermite_solver(m: IntMatrix) -> HermiteSolver:
-    """The HermiteSolver of m; raises ValueError if its columns are dependent."""
+    """The HermiteSolver of any matrix m, from one Hermite form of [m; I]:
+    its solve gives one solution, unique when the columns are independent."""
     n, k = m.rows, m.cols
     cols = _hermite(_echelon(_with_identity(m), n + k))
-    # [m; I] has rank k, so a missing pivot in the top rows means m w = 0
-    if any(not any(col[:n]) for col in cols):
-        raise ValueError("matrix columns are linearly dependent")
-    span = Lattice(n, _from_columns(n, [col[:n] for col in cols]))
-    return HermiteSolver(span, _from_columns(k, [col[n:] for col in cols]))
+    # the columns of [m; I] span {(m x, x)}; in pivot order the zero-top
+    # columns (0, x) with m x = 0 come last, already in Hermite form
+    r = sum(1 for col in cols if any(col[:n]))
+    span = Lattice(n, _from_columns(n, [col[:n] for col in cols[:r]]))
+    kernel = Lattice(k, _from_columns(k, [col[n:] for col in cols[r:]]))
+    return HermiteSolver(span, _from_columns(k, [col[n:] for col in cols[:r]]), kernel)
+
+
+def kernel_basis(m: IntMatrix) -> Lattice:
+    """Integer kernel {x : m x = 0} as a lattice in Z^cols. Always saturated."""
+    return hermite_solver(m).kernel
 
 
 def solve_integer(m: IntMatrix, b: Sequence[int]) -> tuple[int, ...] | None:
@@ -631,7 +619,7 @@ def relation_matrix(numerator: Lattice, denominator: Lattice) -> IntMatrix:
 
 def quotient_presentation(numerator: Lattice, denominator: Lattice) -> AbelianGroup:
     """numerator / denominator as an abstract group. Requires inclusion."""
-    diag = smith_diagonal(relation_matrix(numerator, denominator))
+    diag = _snf_with_inverses(relation_matrix(numerator, denominator))[1].diagonal()
     return AbelianGroup.from_smith_diagonal(numerator.rank, diag)
 
 

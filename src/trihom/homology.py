@@ -19,7 +19,7 @@ from .exactalg import (
     AbelianGroup,
     IntMatrix,
     Lattice,
-    kernel_basis,
+    hermite_solver,
     lattice_intersect,
     lattice_sum,
     quotient_presentation,
@@ -160,20 +160,11 @@ def build_cz(d: Diagram) -> ChainComplex:
 
 
 def homology_of(c: ChainComplex) -> HomologyResult:
-    """H_i = ker(boundary out of C_i) / im(boundary into C_i)."""
-    d1, d2, d3 = c.boundaries
-    kernels = [
-        Lattice.standard(c.ranks[0]),
-        kernel_basis(d1),
-        kernel_basis(d2),
-        kernel_basis(d3),
-    ]
-    images = [
-        Lattice.from_matrix_columns(d1),
-        Lattice.from_matrix_columns(d2),
-        Lattice.from_matrix_columns(d3),
-        Lattice.zero(c.ranks[3]),
-    ]
+    """H_i = ker(boundary out of C_i) / im(boundary into C_i), with the
+    kernel and the image of each boundary map from one Hermite form."""
+    solvers = [hermite_solver(m) for m in c.boundaries]
+    kernels = [Lattice.standard(c.ranks[0])] + [s.kernel for s in solvers]
+    images = [s.span for s in solvers] + [Lattice.zero(c.ranks[3])]
     groups = [quotient_presentation(k, im) for k, im in zip(kernels, images)]
     return HomologyResult(*groups, source=c.source)
 

@@ -23,17 +23,15 @@ from .exactalg import (
     HermiteSolver,
     IntMatrix,
     Lattice,
-    SmithDecomposition,
     _ints,
     _snf_with_inverses,
+    hermite_column_form,
     hermite_solver,
     is_unimodular,
     lattice_intersect,
     lattice_sum,
     orthogonal_complement,
     relation_matrix,
-    smith_diagonal,
-    snf,
 )
 
 
@@ -248,8 +246,9 @@ class Diagram:
 
     @cached_property
     def lattices(self) -> dict[str, Lattice]:
-        """L_mu for each family mu: the span of its curve classes."""
-        return {f: Lattice.from_matrix_columns(self.family_matrix(f)) for f in _FAMILIES}
+        """L_mu for each family mu: the span of its curve classes, read off
+        the family's Hermite solver."""
+        return {f: solver.span for f, solver in self.family_solvers.items()}
 
     @cached_property
     def partial_lattices(self) -> dict[str, Lattice]:
@@ -296,16 +295,21 @@ class Diagram:
 
     @cached_property
     def family_solvers(self) -> dict[str, HermiteSolver]:
-        """Hermite solver of each family matrix: family coordinates of any
-        class in its span by one solve. validate requires each family to
-        have full column rank, so the coordinates are unique."""
+        """Hermite solver of each family matrix: its span L_mu, and family
+        coordinates of any class in that span by one solve. It takes any
+        matrix and gives one solution; validate requires each family to
+        have full column rank, so there the coordinates are unique."""
         return {f: hermite_solver(self.family_matrix(f)) for f in _FAMILIES}
 
     @cached_property
-    def alpha_beta_solver(self) -> SmithDecomposition:
-        """Smith factorization of [alpha | beta], splitting a class of
-        L_alpha + L_beta into its two parts."""
-        return snf(self.family_matrix("alpha").hstack(self.family_matrix("beta")))
+    def alpha_beta_solver(self) -> HermiteSolver:
+        """Hermite solver of [alpha | beta], splitting a class of
+        L_alpha + L_beta into an alpha part and a beta part. It gives one
+        split; two alpha parts differ by a class of L_alpha cap L_beta,
+        which pairs to zero with all of L_alpha + L_beta because each
+        family is intra-family disjoint, so every pairing against that sum
+        is the same for any split."""
+        return hermite_solver(self.family_matrix("alpha").hstack(self.family_matrix("beta")))
 
 
 @dataclass(frozen=True)
@@ -504,7 +508,7 @@ def validate_matrices(m: DiagramMatrices) -> ValidationReport:
     if m.q_beta_alpha is not None and not bad and k_ok:
         # every class in L_beta cap L_alpha pairs to zero against all of
         # alpha, so the pairing matrix loses one rank per intersection class
-        rank = sum(1 for x in smith_diagonal(m.q_beta_alpha) if x != 0)
+        rank = hermite_column_form(m.q_beta_alpha).cols
         limit = c - (m.k1 - sig.l)
         checks.append(
             ValidationCheck(

@@ -7,9 +7,10 @@ from pathlib import Path
 
 import pytest
 
+from corpus import corpus, slide
 from trihom import charclass, cli, exactalg, surface
 from trihom.cli import ParseError, main, parse, parse_obj, run
-from trihom.exactalg import AbelianGroup, IntMatrix, Lattice
+from trihom.exactalg import AbelianGroup, IntMatrix
 from trihom.homology import HomologyResult
 from trihom.surface import Diagram, DiagramMatrices, SurfaceSignature
 
@@ -307,9 +308,44 @@ class TestReport:
             lambda d: HomologyResult(wrong, wrong, wrong, wrong, source="closed"),
         )
         for command in ("homology", "report"):
-            hom = json.loads(run(command, STANDARD_FIXTURE, fmt="json")[1])["homology"]
+            code, out = run(command, STANDARD_FIXTURE, fmt="json")
+            assert code == 4
+            hom = json.loads(out)["homology"]
             assert hom["agree"] is False
             assert hom["internal_error"] == "homology methods disagree; this is a bug"
+
+    def test_spin_disagreement_is_flagged(self, tmp_path: Path) -> None:
+        # two alpha slides keep every lattice the y route's gate checks but
+        # leave standard position, and the y verdict then differs from z's
+        def write(d: Diagram) -> str:
+            return write_json(tmp_path, class_payload(
+                g=d.sig.g, p=d.sig.p, b=d.sig.b,
+                alpha=[list(c) for c in d.alpha],
+                beta=[list(c) for c in d.beta],
+                gamma=[list(c) for c in d.gamma],
+                arcs=[list(d.arcs.column(j)) for j in range(d.arcs.cols)],
+                standard_position_assertion=True,
+            ))
+
+        entry = next(e.diagram for e in corpus() if e.name == "std-g2b2-mixed")
+        # the unmoved entry's two verdicts agree
+        code, out = run("spin", write(entry), fmt="json")
+        assert code == 0 and "internal_error" not in json.loads(out)["spin"]
+        path = write(slide(slide(entry, "alpha", 0, 1), "alpha", 1, 0))
+        for command in ("spin", "report"):
+            code, out = run(command, path, fmt="json")
+            assert code == 4
+            spin = json.loads(out)["spin"]
+            assert (spin["y"]["spin"], spin["z"]["spin"]) == (True, False)
+            assert spin["internal_error"] == (
+                "spin verdicts of the y and z routes disagree; this is a bug"
+            )
+        assert main(["spin", path]) == 4
+        # one route alone has nothing to disagree with
+        for route in ("y", "z"):
+            code, out = run("spin", path, complex_choice=route, fmt="json")
+            assert code == 0
+            assert "internal_error" not in json.loads(out)["spin"]
 
     def test_report_analyzes_the_diagram_once(self, monkeypatch) -> None:
         validations = []
@@ -327,19 +363,12 @@ class TestReport:
             family_matrices.append((name, m))
             return m
 
-        built = []  # the argument of every lattice build
-        real_build = Lattice.from_matrix_columns.__func__
+        solved = []  # the argument of every Hermite solver built for the diagram
+        real_hermite_solver = surface.hermite_solver
 
-        def recording_build(cls, m):
-            built.append(m)
-            return real_build(cls, m)
-
-        bases = []  # the basis of every lattice made
-        real_lattice_init = Lattice.__post_init__
-
-        def recording_lattice_init(lat):
-            bases.append(lat.basis)
-            real_lattice_init(lat)
+        def recording_hermite_solver(m):
+            solved.append(m)
+            return real_hermite_solver(m)
 
         stacked = []  # every [alpha | beta] made from handed-out family matrices
         real_hstack = IntMatrix.hstack
@@ -379,8 +408,7 @@ class TestReport:
 
         monkeypatch.setattr(surface, "validate", counting_validate)
         monkeypatch.setattr(surface.Diagram, "family_matrix", recording_family_matrix)
-        monkeypatch.setattr(Lattice, "from_matrix_columns", classmethod(recording_build))
-        monkeypatch.setattr(Lattice, "__post_init__", recording_lattice_init)
+        monkeypatch.setattr(surface, "hermite_solver", recording_hermite_solver)
         monkeypatch.setattr(IntMatrix, "hstack", recording_hstack)
         for module in (exactalg, surface):
             monkeypatch.setattr(module, "relation_matrix", recording_relation_matrix(module))
@@ -389,7 +417,7 @@ class TestReport:
             monkeypatch.setattr(charclass, name, counting(name))
 
         for path in (CLASS_FIXTURE, STANDARD_FIXTURE):
-            logs = (validations, family_matrices, built, bases, stacked, factored, relations,
+            logs = (validations, family_matrices, solved, stacked, factored, relations,
                     linking_calls)
             for log in logs:
                 log.clear()
@@ -400,18 +428,17 @@ class TestReport:
                 for name in ("alpha", "beta", "gamma")
             }
             for family, handed_out in by_family.items():
-                assert sum(any(b is m for b in built) for m in handed_out) == 1, family
-                # the family solves take a Hermite transform, never a Smith form
-                assert not any(f is m for f, _ in factored for m in handed_out), family
-            # [alpha | beta] is factored once
-            assert sum(f is m for f, _ in factored for m in stacked) <= 1
-            # and so is the H_2 relation matrix, for both H_2 and the form
+                # one Hermite form of [A; I] gives the family's span and its solves
+                assert sum(s is m for s in solved for m in handed_out) == 1, family
+            # [alpha | beta] is split by a Hermite solver, never a Smith form
+            assert sum(s is m for s in solved for m in stacked) == 1
+            assert not any(f is m for f, _ in factored for m in stacked)
+            # the H_2 relation matrix is built once, for both H_2 and the form
             (_, num, den, h2), = [r for r in relations if r[0] is surface]
-            assert sum(f is h2 for f, _ in factored) == 1
             assert [r for r in relations if (r[1], r[2]) == (num, den)] == [(surface, num, den, h2)]
-            # coordinates in a lattice come from its Hermite basis, not a Smith solve
-            solved = [f for f, keep in factored if "U" in keep]
-            assert not any(f is b for f in solved for b in bases)
+            # the only Smith transform is U^-1 of that matrix, and it is factored once
+            assert [(f, keep) for f, keep in factored if keep] == [(h2, ("Uinv",))]
+            assert sum(f is h2 for f, _ in factored) == 1
             assert sorted(linking_calls) == ["linking_matrix_y", "linking_matrix_z"]
 
     def test_report_frees_the_diagram_without_the_cycle_collector(self, monkeypatch) -> None:

@@ -302,23 +302,72 @@ class TestHermiteCoreAgainstOracles:
             assert met.basis == smith_intersection(a, b)
 
     def test_full_rank_solve_matches_smith_solve(self) -> None:
+        # every shape: one solution exactly when Smith finds one, the unique
+        # one when the columns are independent, and the Smith kernel
         rng = random.Random(47)
-        solved = 0
+        solved = dependent = 0
         for rows, cols in self.SHAPES * 3:
             m = mixed_matrix(rng, rows, cols)
-            diag = _snf_with_inverses(m)[1].diagonal()
-            if sum(1 for x in diag if x != 0) < m.cols:
-                with pytest.raises(ValueError, match="dependent"):
-                    hermite_solver(m)
-                continue
             solver, oracle = hermite_solver(m), snf(m)
+            full_rank = smith_rank(m) == m.cols
+            assert solver.span == Lattice.from_matrix_columns(m)
+            assert solver.kernel.ambient_rank == m.cols
+            assert solver.kernel.basis == smith_kernel(m)
             inside = m.matvec([rng.randint(-5, 5) for _ in range(m.cols)])
             anywhere = tuple(rng.randint(-5, 5) for _ in range(m.rows))
             for b in (inside, anywhere):
-                assert solver.solve(b) == oracle.solve(b)
-            assert m.matvec(solver.solve(inside)) == inside
-            solved += 1
-        assert solved >= 20
+                x = solver.solve(b)
+                assert (x is None) == (oracle.solve(b) is None)
+                if x is not None:
+                    assert m.matvec(x) == b
+                if full_rank:
+                    assert x == oracle.solve(b)
+            assert solver.solve(inside) is not None
+            solved += full_rank
+            dependent += not full_rank
+        assert solved >= 20 and dependent >= 20
+
+
+def smith_rank(m: IntMatrix) -> int:
+    return sum(1 for x in _snf_with_inverses(m)[1].diagonal() if x != 0)
+
+
+def smith_saturated(lat: Lattice) -> bool:
+    """Z^n / lat is torsion-free iff every Smith invariant of its basis is 1."""
+    return all(x == 1 for x in _snf_with_inverses(lat.basis)[1].diagonal())
+
+
+def smith_unimodular(m: IntMatrix) -> bool:
+    return m.rows == m.cols and all(x == 1 for x in _snf_with_inverses(m)[1].diagonal())
+
+
+class TestHermitePredicatesAgainstSmith:
+    def test_frozen_examples(self) -> None:
+        assert not Lattice.from_generators(2, [(2, 0)]).is_saturated()
+        assert Lattice.from_generators(2, [(2, 1)]).is_saturated()
+        assert Lattice.zero(3).is_saturated()
+        assert Lattice.zero(0).is_saturated()
+        assert not is_unimodular(mat([[1, 0], [0, -2]]))
+        assert is_unimodular(mat([[0, -1], [1, 0]]))
+
+    def test_saturated_and_unimodular_agree_with_smith_seeded(self) -> None:
+        rng = random.Random(59)
+        seen = {True: 0, False: 0}
+        shapes = [(0, 0), (0, 2), (2, 0)] + [(r, c) for r in range(1, 6) for c in range(1, 6)]
+        for rows, cols in shapes * 4:
+            # random, rank-deficient, 60-200-bit or zero-lined matrices, and
+            # signed columns of unimodular matrices, which span saturated lattices
+            u = unimodular(rng, rows).mul(shaped(rows, rows, (
+                rng.choice((1, -1)) * int(i == j) for i in range(rows) for j in range(rows)
+            )))
+            picked = [u.column(j) for j in rng.sample(range(rows), min(rows, cols))]
+            for m in (mixed_matrix(rng, rows, cols), u, IntMatrix.from_columns(rows, picked)):
+                lat = Lattice.from_matrix_columns(m)
+                assert lat.is_saturated() == smith_saturated(lat)
+                assert is_unimodular(m) == smith_unimodular(m)
+                seen[lat.is_saturated()] += 1
+                seen[is_unimodular(m)] += 1
+        assert min(seen.values()) >= 50
 
 
 class TestUnimodularity:
@@ -423,29 +472,6 @@ class TestLattice:
         assert Lattice.zero(3).rank == 0
         assert Lattice.zero(3).contains((0, 0, 0))
         assert not Lattice.zero(3).contains((1, 0, 0))
-
-    def test_saturation(self) -> None:
-        lat = Lattice.from_generators(2, [(2, 0)])
-        assert not lat.is_saturated()
-        sat = lat.saturation()
-        assert sat.rank == 1
-        assert sat.contains((1, 0))
-        assert sat.is_saturated()
-
-    def test_saturation_idempotent_seeded(self) -> None:
-        rng = random.Random(19)
-        for _ in range(30):
-            n = rng.randint(1, 4)
-            gens = [
-                tuple(rng.randint(-4, 4) for _ in range(n))
-                for _ in range(rng.randint(0, n))
-            ]
-            sat = Lattice.from_generators(n, gens).saturation()
-            assert sat.is_saturated()
-            again = sat.saturation()
-            assert again.rank == sat.rank
-            for gen in sat.generators():
-                assert again.contains(gen)
 
     def test_coordinates_reject_non_integral_entries(self) -> None:
         lat = Lattice.from_generators(2, [(2, 0), (0, 3)])
