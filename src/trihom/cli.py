@@ -16,7 +16,7 @@ import json
 import sys
 from typing import Any, Callable, Sequence
 
-from .charclass import spin_y, spin_z, w2_y, w2_z
+from .charclass import linking_matrix_y, linking_matrix_z, spin_y, spin_z, w2_y, w2_z
 from .exactalg import AbelianGroup, IntMatrix
 from .homology import (
     HomologyResult,
@@ -257,29 +257,25 @@ def _curves(data: Diagram | DiagramMatrices) -> Diagram:
     return data
 
 
-# the w2 representative of each route; its linking matrix and coefficients
-# are what the linking, w2 and spin sections of that route print or read
-_W2 = {"y": w2_y, "z": lambda d: w2_z(_curves(d))}
-
-# each route of the routed sections, as a function of the diagram and of
-# w2(route), the route's w2 representative computed once per report
+# each route of the routed sections, as a function of the diagram; what
+# several sections read of one route is computed once, on the diagram
 _ROUTES = {
     "homology": {
-        "y": lambda d, w2: _homology_json(homology_of(build_cy(d))),
-        "z": lambda d, w2: _homology_json(homology_of(build_cz(d))),
-        "closed": lambda d, w2: _homology_json(h_closed_forms(d)),
+        "y": lambda d: _homology_json(homology_of(build_cy(d))),
+        "z": lambda d: _homology_json(homology_of(build_cz(d))),
+        "closed": lambda d: _homology_json(h_closed_forms(d)),
     },
     "linking": {
-        "y": lambda d, w2: w2("y").linking.to_rows(),
-        "z": lambda d, w2: w2("z").linking.to_rows(),
+        "y": lambda d: linking_matrix_y(d).to_rows(),
+        "z": lambda d: linking_matrix_z(_curves(d)).to_rows(),
     },
     "w2": {
-        "y": lambda d, w2: _w2_json(w2("y")),
-        "z": lambda d, w2: _w2_json(w2("z")),
+        "y": lambda d: _w2_json(w2_y(d)),
+        "z": lambda d: _w2_json(w2_z(_curves(d))),
     },
     "spin": {
-        "y": lambda d, w2: _spin_json(spin_y(d, w2("y"))),
-        "z": lambda d, w2: _spin_json(spin_z(_curves(d), w2("z"))),
+        "y": lambda d: _spin_json(spin_y(d)),
+        "z": lambda d: _spin_json(spin_z(_curves(d))),
     },
 }
 
@@ -295,29 +291,7 @@ _PROJECTIONS = {
 }
 
 
-def _once_per_route(compute: Callable[[str], Any]) -> Callable[[str], Any]:
-    """compute, run at most once per route: a later call for the same route
-    returns the first result or raises a PreconditionError with the first
-    one's reason."""
-    # a result, or a PreconditionError's reason as a str; the error itself is
-    # not kept, because its traceback would hold this frame and so the dict
-    # in a cycle that keeps the whole diagram alive until the cyclic GC runs
-    done: dict[str, Any] = {}
-
-    def get(route: str) -> Any:
-        if route not in done:
-            try:
-                done[route] = compute(route)
-            except PreconditionError as e:
-                done[route] = str(e)
-        if isinstance(done[route], str):
-            raise PreconditionError(done[route])
-        return done[route]
-
-    return get
-
-
-def _routes_json(section: str, data, w2, routes: Sequence[str], named: bool) -> dict:
+def _routes_json(section: str, data, routes: Sequence[str], named: bool) -> dict:
     """The section's result by each of the routes it has among routes.
 
     A route whose precondition fails is marked skipped with the reason,
@@ -330,7 +304,7 @@ def _routes_json(section: str, data, w2, routes: Sequence[str], named: bool) -> 
         if name not in _ROUTES[section]:
             continue
         try:
-            out[name] = _ROUTES[section][name](data, w2)
+            out[name] = _ROUTES[section][name](data)
         except PreconditionError as e:
             if named:
                 raise
@@ -372,7 +346,6 @@ def build_report(
     if "validation" not in shown:
         require_valid(data)
     rep: dict[str, Any] = {}
-    w2 = _once_per_route(lambda route: _W2[route](data))
 
     def put(section: str, value: Callable[[], Any]) -> None:
         if section in shown:
@@ -393,10 +366,10 @@ def build_report(
         put("intersection_form", lambda: _skip(_NO_CLASSES))
     else:
         put("inferred_k", lambda: list(infer_k(data)))
-        put("homology", lambda: _routes_json("homology", data, w2, routes, named))
+        put("homology", lambda: _routes_json("homology", data, routes, named))
         put("intersection_form", lambda: _form_json(intersection_form(data)))
     for section in ("linking", "w2", "spin"):
-        put(section, lambda: _routes_json(section, data, w2, routes, named))
+        put(section, lambda: _routes_json(section, data, routes, named))
     failed = any(isinstance(v, dict) and "internal_error" in v for v in rep.values())
     return (4 if failed else 0), rep
 
@@ -426,17 +399,52 @@ def run(
 
 def _render_error(kind: str, message: str, fmt: str) -> str:
     if fmt == "json":
-        return json.dumps({"error": {"kind": kind, "message": message}},
-                          sort_keys=True, indent=2) + "\n"
+        return _json({"error": {"kind": kind, "message": message}})
     return f"error ({kind}): {message}\n"
 
 
 def _render(payload: dict, fmt: str) -> str:
     if fmt == "json":
-        return json.dumps(payload, sort_keys=True, indent=2) + "\n"
+        return _json(payload)
     lines: list[str] = []
     _render_text(payload, lines, indent=0)
     return "\n".join(lines) + "\n"
+
+
+def _json(value: Any) -> str:
+    """value as json.dumps(value, sort_keys=True, indent=2) writes it, plus a
+    newline. With indent set, json.dumps runs the pure-Python encoder, which
+    is slower and whose closures leave reference cycles for the cyclic GC."""
+    out: list[str] = []
+    _write_json(value, out, "\n")
+    return "".join(out) + "\n"
+
+
+def _write_json(value: Any, out: list[str], newline: str) -> None:
+    # newline is a line break followed by the indentation of value's line
+    inner = newline + "  "
+    if isinstance(value, dict) and value:
+        sep = "{" + inner
+        for k in sorted(value):
+            out.append(sep + json.dumps(k) + ": ")
+            _write_json(value[k], out, inner)
+            sep = "," + inner
+        out.append(newline + "}")
+    elif isinstance(value, (list, tuple)) and value and all(type(x) is int for x in value):
+        out.append("[" + inner + ("," + inner).join(map(int.__repr__, value)) + newline + "]")
+    elif isinstance(value, (list, tuple)) and value:
+        sep = "[" + inner
+        for item in value:
+            out.append(sep)
+            _write_json(item, out, inner)
+            sep = "," + inner
+        out.append(newline + "]")
+    elif isinstance(value, (dict, list, tuple)):
+        out.append("{}" if isinstance(value, dict) else "[]")
+    elif value is None or isinstance(value, bool):
+        out.append("null" if value is None else "true" if value else "false")
+    else:
+        out.append(int.__repr__(value) if isinstance(value, int) else json.dumps(value))
 
 
 def _render_text(value: Any, lines: list[str], indent: int, key: str | None = None) -> None:

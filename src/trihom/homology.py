@@ -103,7 +103,7 @@ def build_cy(d: Diagram) -> ChainComplex:
         list(_family_coordinates(d, "gamma", gen)) for gen in ag.generators() + bg.generators()
     ]
     d3 = IntMatrix.from_columns(cpf, cols3)
-    d2 = w.basis.transpose().mul(d.family_matrix("gamma"))
+    d2 = d.page_pairing
     d1 = IntMatrix.zeros(1, w.rank)
     return ChainComplex(
         ranks=(1, w.rank, cpf, ag.rank + bg.rank),

@@ -163,6 +163,17 @@ def q_matrix(
     return IntMatrix.from_rows(rows, cols=len(nu))
 
 
+def _page_linking(
+    sig: SurfaceSignature, qgb: IntMatrix, qag: IntMatrix, qa_g: IntMatrix
+) -> IntMatrix:
+    """Linking matrix of the gamma curves from the page pairings."""
+    # rows: gamma against (beta curves, then page arcs); columns: (alpha
+    # curves, then page arcs) against gamma; the page framing sits between
+    left = qgb.hstack(qa_g.transpose().neg())
+    right = qag.vstack(qa_g)
+    return left.mul(r_matrix(sig)).mul(right)
+
+
 # ---------------------------------------------------------------------------
 # diagrams
 
@@ -183,10 +194,13 @@ class Diagram:
     in the standard configuration; it cannot be verified from classes alone
     and gates the y-route computations.
 
-    The validation report, the lattices every route reads and the
-    factorizations the routes solve against are computed on first use and
-    kept on the diagram, so each is computed once however many routes run.
+    The validation report, the lattices every route reads, the
+    factorizations the routes solve against and the pairing data of the
+    linking, w2 and spin routes are computed on first use and kept on the
+    diagram, so each is computed once however many routes run.
     """
+
+    page_basis = "canonical basis of L_alpha_partial cap L_beta_partial"
 
     sig: SurfaceSignature
     alpha: tuple[tuple[int, ...], ...]
@@ -311,6 +325,65 @@ class Diagram:
         is the same for any split."""
         return hermite_solver(self.family_matrix("alpha").hstack(self.family_matrix("beta")))
 
+    @cached_property
+    def special_arcs(self) -> tuple[tuple[int, ...], ...]:
+        """The l page arcs: the first l columns of the arc system."""
+        arcs = self.arc_matrix()
+        return tuple(arcs.column(j) for j in range(self.sig.l))
+
+    @cached_property
+    def standard_position_refusal(self) -> str | None:
+        """Why the y route's linking data cannot be read off this diagram,
+        or None. Standard position is a statement about curves, not
+        classes, so the user must assert it; what can be checked is that
+        the page arcs complete phi(alpha) and phi(beta) to bases of their
+        boundary-compatible lattices, and that L_alpha + L_beta is
+        saturated. A string, not an exception, whose traceback would tie
+        the diagram into a reference cycle."""
+        if not self.standard_position:
+            return ("the y route needs the standard-position assertion for this "
+                    "diagram (file field standard_position or flag "
+                    "--assert-standard-position); without it use the z route")
+        sig = self.sig
+        for fam in ("alpha", "beta"):
+            target = self.partial_lattices[fam]
+            gens = [to_relative(sig, c) for c in self.family(fam)] + list(self.special_arcs)
+            if Lattice.from_generators(sig.n, gens) != target or len(gens) != target.rank:
+                return (f"the supplied page arcs do not complete the {fam} family "
+                        f"to a basis of its boundary-compatible lattice; the "
+                        f"standard-position assertion is inconsistent with the classes")
+        if not self.alpha_beta_saturated:
+            return ("L_alpha + L_beta is not saturated, which contradicts the "
+                    "standard-position assertion")
+        return None
+
+    @cached_property
+    def linking_y(self) -> IntMatrix:
+        """(g-p) x (g-p) linking matrix of the gamma curves, page route;
+        raises PreconditionError with standard_position_refusal."""
+        if self.standard_position_refusal is not None:
+            raise PreconditionError(self.standard_position_refusal)
+        sig, gamma = self.sig, self.gamma
+        return _page_linking(sig, q_matrix(sig, gamma, self.beta), q_matrix(sig, self.alpha, gamma),
+                             q_matrix(sig, self.special_arcs, gamma, mu_arcs=True))
+
+    @cached_property
+    def curve_rows(self) -> IntMatrix:
+        """3(g-p) x n: the alpha, then beta, then gamma classes as rows."""
+        return IntMatrix.from_rows([*self.alpha, *self.beta, *self.gamma], cols=self.sig.n)
+
+    @cached_property
+    def linking_z(self) -> IntMatrix:
+        """3(g-p) x 3(g-p) linking matrix of all curves, doubling route."""
+        rows = self.curve_rows
+        return rows.mul(s_matrix(self.sig)).mul(rows.transpose()).neg()
+
+    @cached_property
+    def page_pairing(self) -> IntMatrix:
+        """W^T G: the pairings of the page_basis of L_alpha_partial cap
+        L_beta_partial (rows) against the gamma curves (columns)."""
+        return self.partial_intersection.basis.transpose().mul(self.family_matrix("gamma"))
+
 
 @dataclass(frozen=True)
 class DiagramMatrices:
@@ -319,8 +392,11 @@ class DiagramMatrices:
     Rows of q_gamma_beta / q_alpha_gamma index the gamma / alpha curves;
     q_a_gamma pairs the l page arcs against the gamma curves. k, when
     given, is the supplied (k_1, k_2, k_3); validation checks it against k1
-    and the bounds.
+    and the bounds. The validation report and the y route's linking matrix
+    and page pairing are computed on first use and kept, as on Diagram.
     """
+
+    page_basis = "first k1-l alpha curves, then the l page arcs"
 
     sig: SurfaceSignature
     k1: int
@@ -334,6 +410,18 @@ class DiagramMatrices:
     def validation(self) -> ValidationReport:
         """validate_matrices(self), computed on first use and kept."""
         return validate_matrices(self)
+
+    @cached_property
+    def linking_y(self) -> IntMatrix:
+        """(g-p) x (g-p) linking matrix of the gamma curves, page route."""
+        return _page_linking(self.sig, self.q_gamma_beta, self.q_alpha_gamma, self.q_a_gamma)
+
+    @cached_property
+    def page_pairing(self) -> IntMatrix:
+        """The pairings of the page_basis (rows), which spans the page
+        intersection lattice, against the gamma curves (columns)."""
+        head = self.q_alpha_gamma.take_rows(range(self.k1 - self.sig.l))
+        return head.vstack(self.q_a_gamma)
 
 
 def l_lattice(d: Diagram, family: str) -> Lattice:

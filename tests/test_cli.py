@@ -1,5 +1,6 @@
 """Input parsing, exit codes, and report output of the command line tool."""
 
+import functools
 import gc
 import json
 import weakref
@@ -8,7 +9,7 @@ from pathlib import Path
 import pytest
 
 from corpus import corpus, slide
-from trihom import charclass, cli, exactalg, surface
+from trihom import cli, exactalg, surface
 from trihom.cli import ParseError, main, parse, parse_obj, run
 from trihom.exactalg import AbelianGroup, IntMatrix
 from trihom.homology import HomologyResult
@@ -347,7 +348,7 @@ class TestReport:
             assert code == 0
             assert "internal_error" not in json.loads(out)["spin"]
 
-    def test_report_analyzes_the_diagram_once(self, monkeypatch) -> None:
+    def test_report_analyzes_the_diagram_once(self, monkeypatch, tmp_path: Path) -> None:
         validations = []
         real_validate = surface.validate
 
@@ -397,14 +398,19 @@ class TestReport:
                 return out
             return wrapper
 
-        linking_calls = []
-        real_linking = {n: getattr(charclass, n) for n in ("linking_matrix_y", "linking_matrix_z")}
+        built = []  # (member, object) of every completed build of a cached member
 
-        def counting(name):
-            def wrapper(d):
-                linking_calls.append(name)
-                return real_linking[name](d)
-            return wrapper
+        def recording_member(cls, name):
+            real = cls.__dict__[name].func
+
+            def build(obj):
+                out = real(obj)
+                built.append((name, obj))
+                return out
+
+            member = functools.cached_property(build)
+            member.__set_name__(cls, name)
+            return member
 
         monkeypatch.setattr(surface, "validate", counting_validate)
         monkeypatch.setattr(surface.Diagram, "family_matrix", recording_family_matrix)
@@ -413,15 +419,33 @@ class TestReport:
         for module in (exactalg, surface):
             monkeypatch.setattr(module, "relation_matrix", recording_relation_matrix(module))
             monkeypatch.setattr(module, "_snf_with_inverses", recording_snf)
-        for name in real_linking:
-            monkeypatch.setattr(charclass, name, counting(name))
+        members = {
+            surface.Diagram: ("standard_position_refusal", "linking_y", "linking_z",
+                              "page_pairing"),
+            surface.DiagramMatrices: ("linking_y", "page_pairing"),
+        }
+        for cls, names in members.items():
+            for name in names:
+                monkeypatch.setattr(cls, name, recording_member(cls, name))
 
-        for path in (CLASS_FIXTURE, STANDARD_FIXTURE):
-            logs = (validations, family_matrices, solved, stacked, factored, relations,
-                    linking_calls)
+        # the y route runs on the standard fixture; the class fixture lacks
+        # the assertion, and mix-torsion3-b2's arcs fail the arc check
+        entry = next(e.diagram for e in corpus() if e.name == "mix-torsion3-b2")
+        refused = write_json(tmp_path, class_payload(
+            g=entry.sig.g, p=entry.sig.p, b=entry.sig.b,
+            alpha=[list(c) for c in entry.alpha],
+            beta=[list(c) for c in entry.beta],
+            gamma=[list(c) for c in entry.gamma],
+        ))
+        cases = ((CLASS_FIXTURE, False, False), (STANDARD_FIXTURE, False, True),
+                 (refused, True, False))
+        for path, asserted, y_runs in cases:
+            logs = (validations, family_matrices, solved, stacked, factored, relations, built)
             for log in logs:
                 log.clear()
-            assert run("report", path, fmt="json")[0] == 0
+            code, out = run("report", path, fmt="json", assert_standard=asserted)
+            assert code == 0
+            assert ("skipped" in json.loads(out)["linking"]["y"]) is not y_runs
             assert len(validations) == 1
             by_family = {
                 name: [m for f, m in family_matrices if f == name]
@@ -439,7 +463,16 @@ class TestReport:
             # the only Smith transform is U^-1 of that matrix, and it is factored once
             assert [(f, keep) for f, keep in factored if keep] == [(h2, ("Uinv",))]
             assert sum(f is h2 for f, _ in factored) == 1
-            assert sorted(linking_calls) == ["linking_matrix_y", "linking_matrix_z"]
+            # the linking, w2 and spin sections and the y complex read one
+            # arc check, linking matrix and page pairing off the one diagram
+            assert len({id(d) for _, d in built}) == 1
+            want = ["linking_z", "page_pairing", "standard_position_refusal"]
+            assert sorted(name for name, _ in built) == sorted(want + ["linking_y"] * y_runs)
+
+        built.clear()
+        assert run("report", MATRIX_FIXTURE, fmt="json")[0] == 0
+        assert len({id(d) for _, d in built}) == 1
+        assert sorted(name for name, _ in built) == ["linking_y", "page_pairing"]
 
     def test_report_frees_the_diagram_without_the_cycle_collector(self, monkeypatch) -> None:
         # a reference cycle through a report's diagram (say, a kept exception
@@ -469,6 +502,39 @@ class TestReport:
             first = run("report", path, fmt="json")
             second = run("report", path, fmt="json")
             assert first == second
+
+
+class TestJsonWriter:
+    @pytest.mark.parametrize("value", [
+        {},
+        [],
+        {"a": {}, "b": [], "c": [[]], "d": [{}]},
+        [[1, -2], [3, [4, [5]]], [[], [[]]]],
+        {"t": True, "f": False, "n": None, "list": [True, False, None]},
+        [-1, 0, 2**100, -(2**100) + 1],
+        [1, True, 0, False],
+        (1, (2, "x"), ()),
+        {"z": 1, "a": 2, "m": {"y": 0, "b": -7}},
+        {"caf\u00e9": "na\u00efve \u2203x", "quote": "a \"b\" \\c\n\td", "ctl": "\x00\x1f"},
+        "\ud83d\ude00 plain",
+        7,
+        None,
+    ])
+    def test_writes_what_json_dumps_writes(self, value) -> None:
+        assert cli._json(value) == json.dumps(value, sort_keys=True, indent=2) + "\n"
+
+    @pytest.mark.parametrize("path", [CLASS_FIXTURE, MATRIX_FIXTURE, str(FIXTURES / "missing.json")])
+    def test_json_output_leaves_no_cyclic_garbage(self, path: str) -> None:
+        was_enabled = gc.isenabled()
+        gc.disable()
+        try:
+            gc.collect()
+            code, _ = run("report", path, fmt="json")
+            assert code == (2 if path.endswith("missing.json") else 0)
+            assert gc.collect() == 0
+        finally:
+            if was_enabled:
+                gc.enable()
 
 
 class TestMain:

@@ -1,6 +1,7 @@
 """Structural laws checked across the whole diagram corpus."""
 
 import random
+from dataclasses import replace
 
 import pytest
 
@@ -35,7 +36,7 @@ from trihom.homology import (
     intersection_form,
     phi,
 )
-from trihom.surface import infer_k, validate
+from trihom.surface import DiagramMatrices, infer_k, q_matrix, validate
 
 ENTRIES = corpus()
 MOVED = [e for e in ENTRIES if e.base is not None]
@@ -43,6 +44,9 @@ BY_NAME = {e.name: e for e in ENTRIES}
 WITH_ARCS = [e for e in ENTRIES if e.has_arcs]
 
 entry_ids = [e.name for e in ENTRIES]
+# every entry under the standard-position assertion whose arcs pass the y route's check
+ASSERTED = [replace(e.diagram, standard_position=True) for e in ENTRIES]
+Y_ROUTED = [(e.name, d) for e, d in zip(ENTRIES, ASSERTED) if d.standard_position_refusal is None]
 
 
 def groups_of(result) -> list[str]:
@@ -164,6 +168,34 @@ def test_w2_is_linking_diagonal_mod_two(entry: CorpusEntry) -> None:
 @pytest.mark.parametrize("entry", WITH_ARCS, ids=[e.name for e in WITH_ARCS])
 def test_spin_routes_agree(entry: CorpusEntry) -> None:
     assert spin_y(entry.diagram).spin == spin_z(entry.diagram).spin
+
+
+def as_matrices(d) -> DiagramMatrices:
+    """The matrix-mode input of d's own pairing data."""
+    sig = d.sig
+    page_arcs = [d.arc_matrix().column(j) for j in range(sig.l)]
+    return DiagramMatrices(
+        sig=sig,
+        k1=infer_k(d)[0],
+        q_gamma_beta=q_matrix(sig, d.gamma, d.beta),
+        q_alpha_gamma=q_matrix(sig, d.alpha, d.gamma),
+        q_a_gamma=q_matrix(sig, page_arcs, d.gamma, mu_arcs=True),
+        q_beta_alpha=q_matrix(sig, d.beta, d.alpha),
+    )
+
+
+def test_most_entries_have_a_y_route() -> None:
+    assert len(Y_ROUTED) >= 19
+
+
+@pytest.mark.parametrize("d", [d for _, d in Y_ROUTED], ids=[name for name, _ in Y_ROUTED])
+def test_matrix_mode_agrees_with_class_mode(d) -> None:
+    # the two input modes of one diagram give one linking matrix, w2 and spin
+    m = as_matrices(d)
+    assert m.validation.ok, [c.name for c in m.validation.failures()]
+    assert linking_matrix_y(m).to_rows() == linking_matrix_y(d).to_rows()
+    assert w2_y(m) == w2_y(d)
+    assert spin_y(m).spin == spin_y(d).spin
 
 
 @pytest.mark.parametrize("entry", ENTRIES, ids=entry_ids)
