@@ -64,13 +64,20 @@ def linking_matrix_z(d: Diagram) -> IntMatrix:
 
 def w2_y(data: Diagram | DiagramMatrices) -> W2Representative:
     linking = linking_matrix_y(data)
-    return W2Representative("gamma curves", tuple(x & 1 for x in linking.diagonal()), linking)
+    return W2Representative(
+        basis="gamma curves",
+        coefficients=tuple(x & 1 for x in linking.diagonal()),
+        linking=linking,
+    )
 
 
 def w2_z(d: Diagram) -> W2Representative:
     linking = linking_matrix_z(d)
-    coefficients = tuple(x & 1 for x in linking.diagonal())
-    return W2Representative("alpha, beta, gamma curves stacked", coefficients, linking)
+    return W2Representative(
+        basis="alpha, beta, gamma curves stacked",
+        coefficients=tuple(x & 1 for x in linking.diagonal()),
+        linking=linking,
+    )
 
 
 def spin_y(data: Diagram | DiagramMatrices) -> SpinVerdict:

@@ -421,30 +421,29 @@ def _json(value: Any) -> str:
 
 
 def _write_json(value: Any, out: list[str], newline: str) -> None:
-    # newline is a line break followed by the indentation of value's line
+    # newline is a line break followed by the indentation of value's line;
+    # ints, most of a report's scalars, come first (type() leaves out bool)
     inner = newline + "  "
-    if isinstance(value, dict) and value:
+    if type(value) is int:
+        out.append(int.__repr__(value))
+    elif isinstance(value, dict):
         sep = "{" + inner
         for k in sorted(value):
             out.append(sep + json.dumps(k) + ": ")
             _write_json(value[k], out, inner)
             sep = "," + inner
-        out.append(newline + "}")
-    elif isinstance(value, (list, tuple)) and value and all(type(x) is int for x in value):
-        out.append("[" + inner + ("," + inner).join(map(int.__repr__, value)) + newline + "]")
-    elif isinstance(value, (list, tuple)) and value:
+        out.append(newline + "}" if value else "{}")
+    elif isinstance(value, (list, tuple)):
         sep = "[" + inner
         for item in value:
             out.append(sep)
             _write_json(item, out, inner)
             sep = "," + inner
-        out.append(newline + "]")
-    elif isinstance(value, (dict, list, tuple)):
-        out.append("{}" if isinstance(value, dict) else "[]")
+        out.append(newline + "]" if value else "[]")
     elif value is None or isinstance(value, bool):
         out.append("null" if value is None else "true" if value else "false")
     else:
-        out.append(int.__repr__(value) if isinstance(value, int) else json.dumps(value))
+        out.append(json.dumps(value))
 
 
 def _render_text(value: Any, lines: list[str], indent: int, key: str | None = None) -> None:

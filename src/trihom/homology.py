@@ -123,9 +123,6 @@ def build_cz(d: Diagram) -> ChainComplex:
     require_valid(d)
     sig = d.sig
     cpf = sig.curves_per_family
-    a = d.family_matrix("alpha")
-    b = d.family_matrix("beta")
-    g = d.family_matrix("gamma")
     ab, bg, ga = d.intersections.values()
 
     zero = [0] * cpf
@@ -143,7 +140,7 @@ def build_cz(d: Diagram) -> ChainComplex:
         ca = [-x for x in _family_coordinates(d, "alpha", gen)]
         cols3.append(ca + zero + cg)
     d3 = IntMatrix.from_columns(3 * cpf, cols3)
-    d2 = a.hstack(b).hstack(g)
+    d2 = d.curve_rows.transpose()
     d1 = IntMatrix.zeros(1, sig.n)
     return ChainComplex(
         ranks=(1, sig.n, 3 * cpf, ab.rank + bg.rank + ga.rank),

@@ -348,7 +348,8 @@ class Diagram:
         for fam in ("alpha", "beta"):
             target = self.partial_lattices[fam]
             gens = [to_relative(sig, c) for c in self.family(fam)] + list(self.special_arcs)
-            if Lattice.from_generators(sig.n, gens) != target or len(gens) != target.rank:
+            cand = Lattice.from_generators(sig.n, gens)
+            if cand != target or len(gens) != target.rank:
                 return (f"the supplied page arcs do not complete the {fam} family "
                         f"to a basis of its boundary-compatible lattice; the "
                         f"standard-position assertion is inconsistent with the classes")
@@ -363,13 +364,15 @@ class Diagram:
         raises PreconditionError with standard_position_refusal."""
         if self.standard_position_refusal is not None:
             raise PreconditionError(self.standard_position_refusal)
-        sig, gamma = self.sig, self.gamma
-        return _page_linking(sig, q_matrix(sig, gamma, self.beta), q_matrix(sig, self.alpha, gamma),
-                             q_matrix(sig, self.special_arcs, gamma, mu_arcs=True))
+        sig = self.sig
+        qgb = q_matrix(sig, self.gamma, self.beta)
+        qag = q_matrix(sig, self.alpha, self.gamma)
+        qa_g = q_matrix(sig, self.special_arcs, self.gamma, mu_arcs=True)
+        return _page_linking(sig, qgb, qag, qa_g)
 
     @cached_property
     def curve_rows(self) -> IntMatrix:
-        """3(g-p) x n: the alpha, then beta, then gamma classes as rows."""
+        """3(g-p) x n: alpha, then beta, then gamma classes as rows; build_cz's d2 transposed."""
         return IntMatrix.from_rows([*self.alpha, *self.beta, *self.gamma], cols=self.sig.n)
 
     @cached_property

@@ -173,13 +173,12 @@ def test_spin_routes_agree(entry: CorpusEntry) -> None:
 def as_matrices(d) -> DiagramMatrices:
     """The matrix-mode input of d's own pairing data."""
     sig = d.sig
-    page_arcs = [d.arc_matrix().column(j) for j in range(sig.l)]
     return DiagramMatrices(
         sig=sig,
         k1=infer_k(d)[0],
         q_gamma_beta=q_matrix(sig, d.gamma, d.beta),
         q_alpha_gamma=q_matrix(sig, d.alpha, d.gamma),
-        q_a_gamma=q_matrix(sig, page_arcs, d.gamma, mu_arcs=True),
+        q_a_gamma=q_matrix(sig, d.special_arcs, d.gamma, mu_arcs=True),
         q_beta_alpha=q_matrix(sig, d.beta, d.alpha),
     )
 
