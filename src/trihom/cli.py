@@ -3,7 +3,9 @@
 Reads a diagram file (JSON, schema in the README), runs the requested
 computation, and prints a text or JSON report. Exit codes: 0 success,
 1 rejected diagram, 2 parse error, 3 unsatisfied precondition, 4 internal
-error (two routes disagree; the printed section says which).
+error (two routes disagree, and the printed section says which; or any
+other exception, such as a result integer too long to print, reported as
+"error (internal): <type>: <message>").
 
 JSON reports are byte-deterministic: keys are sorted, matrices are
 row-major nested arrays, and every lattice basis underneath is canonical.
@@ -156,6 +158,8 @@ def parse(path: str, assert_standard: bool = False) -> Diagram | DiagramMatrices
         obj = json.loads(text)
     except json.JSONDecodeError as e:
         raise ParseError(f"{path}: invalid JSON at line {e.lineno}, column {e.colno}: {e.msg}") from None
+    except ValueError as e:  # an integer past the interpreter's digit limit
+        raise ParseError(f"{path}: {e}") from None
     return parse_obj(obj, assert_standard)
 
 
@@ -387,14 +391,15 @@ def run(
         if command not in _PROJECTIONS:
             raise ParseError(f"unknown command {command!r}")
         code, payload = build_report(data, command, complex_choice)
+        return code, _render({"command": command, **payload}, fmt)
     except ParseError as e:
         return 2, _render_error("parse error", str(e), fmt)
     except DiagramError as e:
         return 1, _render_error("rejected", str(e), fmt)
     except PreconditionError as e:
         return 3, _render_error("precondition", str(e), fmt)
-    payload = {"command": command, **payload}
-    return code, _render(payload, fmt)
+    except Exception as e:
+        return 4, _render_error("internal", f"{type(e).__name__}: {e}", fmt)
 
 
 def _render_error(kind: str, message: str, fmt: str) -> str:

@@ -161,33 +161,11 @@ class IntMatrix:
 @dataclass(frozen=True)
 class SmithDecomposition:
     """U * A * V = D with U, V unimodular and D diagonal, nonnegative,
-    each diagonal entry dividing the next.
-
-    One factorization serves every right-hand side: solve(b) is the
-    integer solve of A x = b.
-    """
+    each diagonal entry dividing the next."""
 
     U: IntMatrix
     D: IntMatrix
     V: IntMatrix
-
-    def solve(self, b: Sequence[int]) -> tuple[int, ...] | None:
-        """One integer solution x of A x = b, or None if none exists."""
-        if len(b) != self.D.rows:
-            raise ValueError(f"rhs length {len(b)} != rows {self.D.rows}")
-        c = self.U.matvec(b)
-        diag = self.D.diagonal()
-        y = [0] * self.D.cols
-        for i, ci in enumerate(c):
-            di = diag[i] if i < len(diag) else 0
-            if di == 0:
-                if ci != 0:
-                    return None
-            else:
-                if ci % di:
-                    return None
-                y[i] = ci // di
-        return self.V.matvec(y)
 
 
 def _add_row(x: list[list[int]], i: int, j: int, q: int) -> None:
@@ -538,8 +516,9 @@ def kernel_basis(m: IntMatrix) -> Lattice:
 
 
 def solve_integer(m: IntMatrix, b: Sequence[int]) -> tuple[int, ...] | None:
-    """One integer solution x of m x = b, or None if none exists."""
-    return snf(m).solve(b)
+    """One integer solution x of m x = b, or None if none exists; unique
+    when the columns of m are independent."""
+    return hermite_solver(m).solve(b)
 
 
 def lattice_intersect(a: Lattice, b: Lattice) -> Lattice:
@@ -623,11 +602,9 @@ def quotient_presentation(numerator: Lattice, denominator: Lattice) -> AbelianGr
     return AbelianGroup.from_smith_diagonal(numerator.rank, diag)
 
 
-def orthogonal_complement(lat: Lattice, pairing: IntMatrix) -> Lattice:
-    """All y in Z^n with y^T pairing x = 0 for every x in lat."""
-    if pairing.rows != lat.ambient_rank or pairing.cols != lat.ambient_rank:
-        raise ValueError("pairing matrix must be square of the ambient rank")
-    return kernel_basis(pairing.mul(lat.basis).transpose())
+def orthogonal_complement(lat: Lattice) -> Lattice:
+    """All y in Z^n with y^T x = 0 for every x in lat."""
+    return kernel_basis(lat.basis.transpose())
 
 
 # ---------------------------------------------------------------------------

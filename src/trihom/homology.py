@@ -42,7 +42,6 @@ class ChainComplex:
 
     ranks: tuple[int, int, int, int]
     boundaries: tuple[IntMatrix, IntMatrix, IntMatrix]
-    basis_meta: tuple[str, str, str, str]
     source: str
 
     def __post_init__(self) -> None:
@@ -108,12 +107,6 @@ def build_cy(d: Diagram) -> ChainComplex:
     return ChainComplex(
         ranks=(1, w.rank, cpf, ag.rank + bg.rank),
         boundaries=(d1, d2, d3),
-        basis_meta=(
-            "single point class",
-            "dual basis of the canonical basis of L_alpha_partial cap L_beta_partial",
-            "gamma-family coordinates",
-            "canonical bases of L_alpha cap L_gamma, then L_beta cap L_gamma",
-        ),
         source="y",
     )
 
@@ -145,13 +138,6 @@ def build_cz(d: Diagram) -> ChainComplex:
     return ChainComplex(
         ranks=(1, sig.n, 3 * cpf, ab.rank + bg.rank + ga.rank),
         boundaries=(d1, d2, d3),
-        basis_meta=(
-            "single point class",
-            "surface classes e_1..e_n",
-            "family coordinates, alpha then beta then gamma",
-            "canonical bases of the pairwise family intersections "
-            "(alpha,beta), (beta,gamma), (gamma,alpha)",
-        ),
         source="z",
     )
 
@@ -193,15 +179,8 @@ def _alpha_part(d: Diagram, ambient: tuple[int, ...]) -> tuple[int, ...]:
         raise PreconditionError(
             f"class {list(ambient)} is not in L_alpha + L_beta"
         )
-    a = d.family_matrix("alpha")
+    a = d.family_matrices["alpha"]
     return a.matvec(sol[: a.cols])
-
-
-def _phi_ambient(d: Diagram, x_amb: tuple[int, ...], y_amb: tuple[int, ...]) -> int:
-    xprime = _alpha_part(d, x_amb)
-    # y must also decompose, or the value would depend on the choice of x'
-    _alpha_part(d, y_amb)
-    return -intersection_number(d.sig, xprime, y_amb)
 
 
 def phi(d: Diagram, x: tuple[int, ...] | list[int], y: tuple[int, ...] | list[int]) -> int:
@@ -211,10 +190,14 @@ def phi(d: Diagram, x: tuple[int, ...] | list[int], y: tuple[int, ...] | list[in
     value does not depend on the decomposition choice.
     """
     require_valid(d)
-    gam = d.family_matrix("gamma")
+    gam = d.family_matrices["gamma"]
     if len(x) != gam.cols or len(y) != gam.cols:
         raise ValueError(f"gamma coordinates must have length {gam.cols}")
-    return _phi_ambient(d, gam.matvec(x), gam.matvec(y))
+    xprime = _alpha_part(d, gam.matvec(x))
+    y_amb = gam.matvec(y)
+    # y must also decompose, or the value would depend on the choice of x'
+    _alpha_part(d, y_amb)
+    return -intersection_number(d.sig, xprime, y_amb)
 
 
 @dataclass(frozen=True)

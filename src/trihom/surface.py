@@ -150,12 +150,11 @@ def q_matrix(
     nu: Sequence[Sequence[int]],
     *,
     mu_arcs: bool = False,
-    nu_arcs: bool = False,
 ) -> IntMatrix:
     """Pairing matrix Q[i][j] = <mu_i, nu_j>."""
     rows = [
         [
-            intersection_number(sig, m, v, x_is_arc=mu_arcs, y_is_arc=nu_arcs)
+            intersection_number(sig, m, v, x_is_arc=mu_arcs)
             for v in nu
         ]
         for m in mu
@@ -245,18 +244,15 @@ class Diagram:
             raise ValueError(f"unknown family {name!r}")
         return getattr(self, name)
 
-    def family_matrix(self, name: str) -> IntMatrix:
-        """n x (g-p) matrix whose columns are the family's curve classes."""
-        return IntMatrix.from_columns(self.sig.n, [list(c) for c in self.family(name)])
-
-    def arc_matrix(self) -> IntMatrix:
-        """Arc system as columns; defaults to the standard dual basis."""
-        return self.arcs if self.arcs is not None else IntMatrix.identity(self.sig.n)
-
     @cached_property
     def validation(self) -> ValidationReport:
         """validate(self), computed on first use and kept."""
         return validate(self)
+
+    @cached_property
+    def family_matrices(self) -> dict[str, IntMatrix]:
+        """For each family, the n x (g-p) matrix whose columns are its curve classes."""
+        return {f: IntMatrix.from_columns(self.sig.n, getattr(self, f)) for f in _FAMILIES}
 
     @cached_property
     def lattices(self) -> dict[str, Lattice]:
@@ -267,8 +263,7 @@ class Diagram:
     @cached_property
     def partial_lattices(self) -> dict[str, Lattice]:
         """L_mu_partial for the two families of the y route, alpha and beta."""
-        rel = IntMatrix.identity(self.sig.n)
-        return {f: orthogonal_complement(self.lattices[f], rel) for f in ("alpha", "beta")}
+        return {f: orthogonal_complement(self.lattices[f]) for f in ("alpha", "beta")}
 
     @cached_property
     def partial_intersection(self) -> Lattice:
@@ -313,7 +308,7 @@ class Diagram:
         coordinates of any class in that span by one solve. It takes any
         matrix and gives one solution; validate requires each family to
         have full column rank, so there the coordinates are unique."""
-        return {f: hermite_solver(self.family_matrix(f)) for f in _FAMILIES}
+        return {f: hermite_solver(m) for f, m in self.family_matrices.items()}
 
     @cached_property
     def alpha_beta_solver(self) -> HermiteSolver:
@@ -323,12 +318,14 @@ class Diagram:
         which pairs to zero with all of L_alpha + L_beta because each
         family is intra-family disjoint, so every pairing against that sum
         is the same for any split."""
-        return hermite_solver(self.family_matrix("alpha").hstack(self.family_matrix("beta")))
+        fams = self.family_matrices
+        return hermite_solver(fams["alpha"].hstack(fams["beta"]))
 
     @cached_property
     def special_arcs(self) -> tuple[tuple[int, ...], ...]:
-        """The l page arcs: the first l columns of the arc system."""
-        arcs = self.arc_matrix()
+        """The l page arcs: the first l columns of the arc system, which
+        defaults to the standard dual basis."""
+        arcs = self.arcs if self.arcs is not None else IntMatrix.identity(self.sig.n)
         return tuple(arcs.column(j) for j in range(self.sig.l))
 
     @cached_property
@@ -385,7 +382,7 @@ class Diagram:
     def page_pairing(self) -> IntMatrix:
         """W^T G: the pairings of the page_basis of L_alpha_partial cap
         L_beta_partial (rows) against the gamma curves (columns)."""
-        return self.partial_intersection.basis.transpose().mul(self.family_matrix("gamma"))
+        return self.partial_intersection.basis.transpose().mul(self.family_matrices["gamma"])
 
 
 @dataclass(frozen=True)
@@ -437,7 +434,7 @@ def l_partial_lattice(d: Diagram, family: str) -> Lattice:
     """Classes in H_1 rel boundary pairing to zero with the whole family."""
     if family in d.partial_lattices:
         return d.partial_lattices[family]
-    return orthogonal_complement(l_lattice(d, family), IntMatrix.identity(d.sig.n))
+    return orthogonal_complement(l_lattice(d, family))
 
 
 def infer_k(d: Diagram) -> tuple[int, int, int]:

@@ -47,9 +47,9 @@ ENTRIES = corpus()
 
 def decompose(d: Diagram, coords: tuple[int, ...]) -> tuple[tuple[int, ...], tuple[int, ...]]:
     """Split the class with the given gamma coordinates as x' + x''."""
-    a = d.family_matrix("alpha")
-    b = d.family_matrix("beta")
-    target = d.family_matrix("gamma").matvec(coords)
+    a = d.family_matrices["alpha"]
+    b = d.family_matrices["beta"]
+    target = d.family_matrices["gamma"].matvec(coords)
     solution = solve_integer(a.hstack(b), target)
     assert solution is not None, "corpus classes must decompose"
     return solution[: a.cols], solution[a.cols :]
@@ -308,12 +308,12 @@ def test_criterion_6_pairing_well_defined_and_symmetric() -> None:
             Lattice.from_generators(d.sig.n, [list(v) for v in d.alpha]),
             Lattice.from_generators(d.sig.n, [list(v) for v in d.beta]),
         )
-        a = d.family_matrix("alpha")
+        a = d.family_matrices["alpha"]
         for coords in form.generators:
             expected = phi(d, coords, coords)
             part_a, _ = decompose(d, coords)
             x_prime = list(a.matvec(part_a))
-            y_ambient = d.family_matrix("gamma").matvec(coords)
+            y_ambient = d.family_matrices["gamma"].matvec(coords)
             for _ in range(10):
                 shift = [0] * d.sig.n
                 for gen in slack.generators():

@@ -136,6 +136,32 @@ class TestExitCodes:
         assert code == 2
         assert "alpha[0]" in out
 
+    def test_overlong_input_integer_exits_two(self, tmp_path: Path) -> None:
+        # json.loads refuses an int of more than 4300 digits with a plain ValueError
+        path = tmp_path / "long.json"
+        long_int = "7" * 5000
+        path.write_text(json.dumps(class_payload()).replace("[[0, 1]]", f"[[{long_int}, 1]]"))
+        code, out = run("report", str(path))
+        assert code == 2
+        assert out.startswith(f"error (parse error): {path}: ")
+        code, out = run("report", str(path), fmt="json")
+        assert code == 2
+        assert json.loads(out)["error"]["kind"] == "parse error"
+
+    def test_unprintable_result_exits_four(self, tmp_path: Path) -> None:
+        # a valid diagram whose form and linking entries pass 4300 digits,
+        # which neither format can print
+        x = 10**2200 + 1
+        path = write_json(tmp_path, class_payload(beta=[[x, 1]], gamma=[[1, x]]))
+        code, out = run("report", path)
+        assert code == 4
+        assert out.startswith("error (internal): ValueError: ")
+        assert "Traceback" not in out
+        code, out = run("report", path, fmt="json")
+        assert code == 4
+        error = json.loads(out)["error"]
+        assert error["kind"] == "internal" and error["message"].startswith("ValueError: ")
+
     def test_missing_file_exits_two(self) -> None:
         code, _ = run("validate", "/nonexistent/diagram.json")
         assert code == 2
@@ -356,13 +382,7 @@ class TestReport:
             validations.append(d)
             return real_validate(d)
 
-        family_matrices = []  # (family, matrix) as handed out
-        real_family_matrix = surface.Diagram.family_matrix
-
-        def recording_family_matrix(d, name):
-            m = real_family_matrix(d, name)
-            family_matrices.append((name, m))
-            return m
+        family_matrices = []  # (family, matrix) of every family_matrices build
 
         solved = []  # the argument of every Hermite solver built for the diagram
         real_hermite_solver = surface.hermite_solver
@@ -406,6 +426,8 @@ class TestReport:
             def build(obj):
                 out = real(obj)
                 built.append((name, obj))
+                if name == "family_matrices":
+                    family_matrices.extend(out.items())
                 return out
 
             member = functools.cached_property(build)
@@ -413,15 +435,14 @@ class TestReport:
             return member
 
         monkeypatch.setattr(surface, "validate", counting_validate)
-        monkeypatch.setattr(surface.Diagram, "family_matrix", recording_family_matrix)
         monkeypatch.setattr(surface, "hermite_solver", recording_hermite_solver)
         monkeypatch.setattr(IntMatrix, "hstack", recording_hstack)
         for module in (exactalg, surface):
             monkeypatch.setattr(module, "relation_matrix", recording_relation_matrix(module))
             monkeypatch.setattr(module, "_snf_with_inverses", recording_snf)
         members = {
-            surface.Diagram: ("standard_position_refusal", "linking_y", "linking_z",
-                              "page_pairing"),
+            surface.Diagram: ("family_matrices", "standard_position_refusal", "linking_y",
+                              "linking_z", "page_pairing"),
             surface.DiagramMatrices: ("linking_y", "page_pairing"),
         }
         for cls, names in members.items():
@@ -464,9 +485,10 @@ class TestReport:
             assert [(f, keep) for f, keep in factored if keep] == [(h2, ("Uinv",))]
             assert sum(f is h2 for f, _ in factored) == 1
             # the linking, w2 and spin sections and the y complex read one
-            # arc check, linking matrix and page pairing off the one diagram
+            # arc check, linking matrix and page pairing off the one diagram,
+            # and every route reads the family matrices built once
             assert len({id(d) for _, d in built}) == 1
-            want = ["linking_z", "page_pairing", "standard_position_refusal"]
+            want = ["family_matrices", "linking_z", "page_pairing", "standard_position_refusal"]
             assert sorted(name for name, _ in built) == sorted(want + ["linking_y"] * y_runs)
 
         built.clear()

@@ -264,6 +264,42 @@ def scrambled(d, rng: random.Random, moves: int):
     return d
 
 
+def slid(d, rng: random.Random, moves: int):
+    """d moved by seeded +-1 alpha, beta and gamma slides and transvections
+    along e_i +- e_j."""
+    n, handles = d.sig.n, d.sig.curves_per_family
+    for _ in range(moves):
+        if handles > 1 and rng.random() < 0.5:
+            target, source = rng.sample(range(handles), 2)
+            family = rng.choice(("alpha", "beta", "gamma"))
+            d = slide(d, family, target, source, rng.choice((-1, 1)))
+        elif d.sig.g:
+            i, j = rng.sample(range(2 * d.sig.g), 2)
+            c = [0] * n
+            c[i], c[j] = 1, rng.choice((-1, 1))
+            d = transvect(d, c)
+    return d
+
+
+def slide_invariants(d) -> tuple:
+    """What slides and transvections must keep: the homology by every route
+    with inferred k, the form's invariants, and the z spin verdict. The y
+    linking, w2 and spin are left out: after an alpha or beta slide the
+    diagram leaves standard position, which the y route cannot yet detect
+    (ROADMAP item 1)."""
+    _, homology = build_report(d, "homology")
+    _, form = build_report(d, "form")
+    return homology, form_invariants(form["intersection_form"]), spin_z(d).spin
+
+
+@pytest.mark.parametrize("entry", ENTRIES, ids=entry_ids)
+def test_slides_preserve_invariants(entry: CorpusEntry) -> None:
+    d = replace(entry.diagram, standard_position=False)
+    want = slide_invariants(d)
+    for seed in range(10):
+        assert slide_invariants(slid(d, random.Random(seed), 6)) == want, seed
+
+
 GROWTH_CASES = {
     # shared handles first: Z/3 and a free class in H_1, then odd and even form blocks
     "odd": (7, [torsion_pattern(3), PATTERNS["P5"], torsion_pattern(2), PATTERNS["P2"],

@@ -79,7 +79,6 @@ class TestChainComplexes:
                     IntMatrix.from_rows([[1]]),
                     IntMatrix.zeros(1, 0),
                 ),
-                basis_meta={},
                 source="y",
             )
         with pytest.raises(ValueError):
@@ -91,7 +90,6 @@ class TestChainComplexes:
                     IntMatrix.from_rows([[1]]),
                     IntMatrix.from_rows([[1]]),
                 ),
-                basis_meta={},
                 source="z",
             )
 
