@@ -168,69 +168,28 @@ class SmithDecomposition:
     V: IntMatrix
 
 
-def _add_row(x: list[list[int]], i: int, j: int, q: int) -> None:
-    x[i] = [a + q * b for a, b in zip(x[i], x[j])]
-
-
-def _add_col(x: list[list[int]], i: int, j: int, q: int) -> None:
-    for row in x:
-        row[i] += q * row[j]
-
-
-def _swap_cols(x: list[list[int]], i: int, j: int) -> None:
-    for row in x:
-        row[i], row[j] = row[j], row[i]
-
-
 def _snf_with_inverses(
     m: IntMatrix, keep: Sequence[str] = ()
 ) -> tuple[IntMatrix | None, IntMatrix, IntMatrix | None, IntMatrix | None]:
     """Smith form plus the transforms named in keep.
 
     Returns (U, D, V, Uinv) with U m V = D and U Uinv = I; a transform not
-    named in keep ("U", "V", "Uinv") is None and costs nothing. Pivot
-    rule: smallest nonzero absolute value in the active block, ties broken
-    by lowest (row, col). The pivot sequence depends only on m, so D and
-    every kept transform are pure functions of the input, whichever others
-    are kept.
+    named in keep ("U", "V", "Uinv") is None. One elimination reduces one
+    matrix x: the rows of m, each followed by its identity row when U or
+    Uinv is kept ([m | I]), then the c identity rows of V when V is kept
+    ([m; I]). Row operations on the first r rows carry U along and column
+    operations on the first c columns carry V; the V rows are only c long,
+    as no row operation reaches them. Uinv is the transform of the Hermite
+    solve of U, whose span is all of Z^r. Pivot rule: smallest nonzero
+    absolute value in the active block, ties broken by lowest (row, col).
+    The pivot sequence depends only on m, so D and every kept transform
+    are pure functions of the input, whichever others are kept.
     """
     r, c = m.rows, m.cols
-    a = m.to_rows()
-    kept = {t: IntMatrix.identity(r if t in ("U", "Uinv") else c).to_rows() for t in keep}
-    # row operations act on the rows of a and U and on the columns of Uinv;
-    # column operations on the columns of a and V
-    side = lambda t: [kept[t]] if t in kept else []
-    rows_of, cols_of = [a] + side("U"), [a] + side("V")
-    uinv = side("Uinv")
-
-    def row_add(i: int, j: int, q: int) -> None:
-        # row_i += q * row_j; Uinv pays with col_j -= q * col_i
-        for x in rows_of:
-            _add_row(x, i, j, q)
-        for x in uinv:
-            _add_col(x, j, i, -q)
-
-    def col_add(i: int, j: int, q: int) -> None:
-        # col_i += q * col_j
-        for x in cols_of:
-            _add_col(x, i, j, q)
-
-    def row_swap(i: int, j: int) -> None:
-        for x in rows_of:
-            x[i], x[j] = x[j], x[i]
-        for x in uinv:
-            _swap_cols(x, i, j)
-
-    def col_swap(i: int, j: int) -> None:
-        for x in cols_of:
-            _swap_cols(x, i, j)
-
-    def row_negate(i: int) -> None:
-        for x in rows_of:
-            x[i] = [-e for e in x[i]]
-        for x in uinv:
-            for row in x:
-                row[i] = -row[i]
+    with_u = "U" in keep or "Uinv" in keep
+    x = [list(m.row(i)) + ([int(i == k) for k in range(r)] if with_u else []) for i in range(r)]
+    if "V" in keep:
+        x += [[int(i == j) for j in range(c)] for i in range(c)]
 
     t = 0
     while t < min(r, c):
@@ -238,49 +197,50 @@ def _snf_with_inverses(
         best = None
         for i in range(t, r):
             for j in range(t, c):
-                e = a[i][j]
+                e = x[i][j]
                 if e != 0 and (best is None or abs(e) < best):
                     best = abs(e)
                     pivot = (i, j)
         if pivot is None:
             break
         pi, pj = pivot
-        if pi != t:
-            row_swap(t, pi)
+        x[t], x[pi] = x[pi], x[t]
         if pj != t:
-            col_swap(t, pj)
-        if a[t][t] < 0:
-            row_negate(t)
-        p = a[t][t]
+            for row in x:
+                row[t], row[pj] = row[pj], row[t]
+        if x[t][t] < 0:
+            x[t] = [-e for e in x[t]]
+        top = x[t]
+        p = top[t]
         dirty = False
         for i in range(t + 1, r):
-            if a[i][t]:
-                row_add(i, t, -(a[i][t] // p))
-                if a[i][t]:
-                    dirty = True
+            q = x[i][t] // p
+            if q:
+                x[i] = [a - q * b for a, b in zip(x[i], top)]
+                dirty = dirty or x[i][t] != 0
         for j in range(t + 1, c):
-            if a[t][j]:
-                col_add(j, t, -(a[t][j] // p))
-                if a[t][j]:
-                    dirty = True
+            q = top[j] // p
+            if q:
+                for row in x:
+                    row[j] -= q * row[t]
+                dirty = dirty or top[j] != 0
         if dirty:
             continue  # a remainder smaller than the pivot appeared; re-pick
-        stray = None
         for i in range(t + 1, r):
-            if any(a[i][j] % p for j in range(t + 1, c)):
-                stray = i
+            if any(x[i][j] % p for j in range(t + 1, c)):
+                # drag the non-divisible row into the pivot row and re-pick
+                x[t] = [a + b for a, b in zip(top, x[i])]
                 break
-        if stray is not None:
-            row_add(t, stray, 1)  # drag the non-divisible row into the pivot row
-            continue
-        t += 1
+        else:
+            t += 1
 
-    def out(name: str) -> IntMatrix | None:
-        if name not in kept:
-            return None
-        return IntMatrix.from_rows(kept[name], cols=r if name in ("U", "Uinv") else c)
-
-    return (out("U"), IntMatrix.from_rows(a, cols=c), out("V"), out("Uinv"))
+    u = IntMatrix.from_rows([row[c:] for row in x[:r]], cols=r) if with_u else None
+    return (
+        u if "U" in keep else None,
+        IntMatrix.from_rows([row[:c] for row in x[:r]], cols=c),
+        IntMatrix.from_rows(x[r:], cols=c) if "V" in keep else None,
+        hermite_solver(u).transform if "Uinv" in keep else None,
+    )
 
 
 def snf(m: IntMatrix) -> SmithDecomposition:

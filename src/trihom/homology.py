@@ -116,27 +116,21 @@ def build_cz(d: Diagram) -> ChainComplex:
     require_valid(d)
     sig = d.sig
     cpf = sig.curves_per_family
-    ab, bg, ga = d.intersections.values()
-
-    zero = [0] * cpf
+    families = ("alpha", "beta", "gamma")
+    # a class of L_mu cap L_nu in mu's coordinates minus nu's, which d2 kills
     cols3: list[list[int]] = []
-    for gen in ab.generators():
-        ca = list(_family_coordinates(d, "alpha", gen))
-        cb = [-x for x in _family_coordinates(d, "beta", gen)]
-        cols3.append(ca + cb + zero)
-    for gen in bg.generators():
-        cb = list(_family_coordinates(d, "beta", gen))
-        cg = [-x for x in _family_coordinates(d, "gamma", gen)]
-        cols3.append(zero + cb + cg)
-    for gen in ga.generators():
-        cg = list(_family_coordinates(d, "gamma", gen))
-        ca = [-x for x in _family_coordinates(d, "alpha", gen)]
-        cols3.append(ca + zero + cg)
+    for (mu, nu), lat in d.intersections.items():
+        i, j = families.index(mu) * cpf, families.index(nu) * cpf
+        for gen in lat.generators():
+            col = [0] * (3 * cpf)
+            col[i : i + cpf] = _family_coordinates(d, mu, gen)
+            col[j : j + cpf] = [-x for x in _family_coordinates(d, nu, gen)]
+            cols3.append(col)
     d3 = IntMatrix.from_columns(3 * cpf, cols3)
     d2 = d.curve_rows.transpose()
     d1 = IntMatrix.zeros(1, sig.n)
     return ChainComplex(
-        ranks=(1, sig.n, 3 * cpf, ab.rank + bg.rank + ga.rank),
+        ranks=(1, sig.n, 3 * cpf, len(cols3)),
         boundaries=(d1, d2, d3),
         source="z",
     )

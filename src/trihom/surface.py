@@ -334,9 +334,12 @@ class Diagram:
         or None. Standard position is a statement about curves, not
         classes, so the user must assert it; what can be checked is that
         the page arcs complete phi(alpha) and phi(beta) to bases of their
-        boundary-compatible lattices, and that L_alpha + L_beta is
-        saturated. A string, not an exception, whose traceback would tie
-        the diagram into a reference cycle."""
+        boundary-compatible lattices, that L_alpha + L_beta is saturated,
+        and that alpha and beta pair as in standard position: alpha_i and
+        beta_j disjoint for i != j, and alpha_i = beta_i or meeting beta_i
+        once. Alpha or beta handle slides keep both lattice checks but
+        break the pairing. A string, not an exception, whose traceback
+        would tie the diagram into a reference cycle."""
         if not self.standard_position:
             return ("the y route needs the standard-position assertion for this "
                     "diagram (file field standard_position or flag "
@@ -353,12 +356,21 @@ class Diagram:
         if not self.alpha_beta_saturated:
             return ("L_alpha + L_beta is not saturated, which contradicts the "
                     "standard-position assertion")
+        q = q_matrix(sig, self.alpha, self.beta)
+        for i, (a, b) in enumerate(zip(self.alpha, self.beta)):
+            off_diagonal = any(q.entry(i, j) for j in range(q.cols) if j != i)
+            if off_diagonal or (a != b and abs(q.entry(i, i)) != 1):
+                return ("the alpha and beta classes do not pair as in standard "
+                        "position (<alpha_i, beta_j> = 0 for i != j, and alpha_i = "
+                        "beta_i or <alpha_i, beta_i> = +-1); the standard-position "
+                        "assertion is inconsistent with the classes")
         return None
 
     @cached_property
     def linking_y(self) -> IntMatrix:
-        """(g-p) x (g-p) linking matrix of the gamma curves, page route;
-        raises PreconditionError with standard_position_refusal."""
+        """(g-p) x (g-p) linking matrix L_y of the gamma curves, page route:
+        -G^T L_y G is intersection_form(self).matrix, with G the form's
+        generators as columns. Raises PreconditionError with standard_position_refusal."""
         if self.standard_position_refusal is not None:
             raise PreconditionError(self.standard_position_refusal)
         sig = self.sig
@@ -413,7 +425,8 @@ class DiagramMatrices:
 
     @cached_property
     def linking_y(self) -> IntMatrix:
-        """(g-p) x (g-p) linking matrix of the gamma curves, page route."""
+        """(g-p) x (g-p) linking matrix L_y of the gamma curves, page route:
+        -G^T L_y G is the intersection form, with G its generators as columns."""
         return _page_linking(self.sig, self.q_gamma_beta, self.q_alpha_gamma, self.q_a_gamma)
 
     @cached_property

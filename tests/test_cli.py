@@ -1,5 +1,6 @@
 """Input parsing, exit codes, and report output of the command line tool."""
 
+import dataclasses
 import functools
 import gc
 import json
@@ -39,6 +40,22 @@ def class_payload(**overrides):
     }
     payload.update(overrides)
     return payload
+
+
+def corpus_diagram(name: str) -> Diagram:
+    return next(e.diagram for e in corpus() if e.name == name)
+
+
+def write_diagram(tmp_path: Path, d: Diagram) -> str:
+    """d as a class-mode file under the standard-position assertion."""
+    return write_json(tmp_path, class_payload(
+        g=d.sig.g, p=d.sig.p, b=d.sig.b,
+        alpha=[list(c) for c in d.alpha],
+        beta=[list(c) for c in d.beta],
+        gamma=[list(c) for c in d.gamma],
+        arcs=[list(d.arcs.column(j)) for j in range(d.arcs.cols)],
+        standard_position_assertion=True,
+    ))
 
 
 class TestParsing:
@@ -341,29 +358,23 @@ class TestReport:
             assert hom["agree"] is False
             assert hom["internal_error"] == "homology methods disagree; this is a bug"
 
-    def test_spin_disagreement_is_flagged(self, tmp_path: Path) -> None:
-        # two alpha slides keep every lattice the y route's gate checks but
-        # leave standard position, and the y verdict then differs from z's
-        def write(d: Diagram) -> str:
-            return write_json(tmp_path, class_payload(
-                g=d.sig.g, p=d.sig.p, b=d.sig.b,
-                alpha=[list(c) for c in d.alpha],
-                beta=[list(c) for c in d.beta],
-                gamma=[list(c) for c in d.gamma],
-                arcs=[list(d.arcs.column(j)) for j in range(d.arcs.cols)],
-                standard_position_assertion=True,
-            ))
-
-        entry = next(e.diagram for e in corpus() if e.name == "std-g2b2-mixed")
+    def test_spin_disagreement_is_flagged(self, monkeypatch, tmp_path: Path) -> None:
+        path = write_diagram(tmp_path, corpus_diagram("std-g2b2-mixed"))
         # the unmoved entry's two verdicts agree
-        code, out = run("spin", write(entry), fmt="json")
+        code, out = run("spin", path, fmt="json")
         assert code == 0 and "internal_error" not in json.loads(out)["spin"]
-        path = write(slide(slide(entry, "alpha", 0, 1), "alpha", 1, 0))
+        real_spin_y = cli.spin_y
+
+        def flipped_spin_y(d):
+            verdict = real_spin_y(d)
+            return dataclasses.replace(verdict, spin=not verdict.spin)
+
+        monkeypatch.setattr(cli, "spin_y", flipped_spin_y)
         for command in ("spin", "report"):
             code, out = run(command, path, fmt="json")
             assert code == 4
             spin = json.loads(out)["spin"]
-            assert (spin["y"]["spin"], spin["z"]["spin"]) == (True, False)
+            assert spin["y"]["spin"] != spin["z"]["spin"]
             assert spin["internal_error"] == (
                 "spin verdicts of the y and z routes disagree; this is a bug"
             )
@@ -373,6 +384,22 @@ class TestReport:
             code, out = run("spin", path, complex_choice=route, fmt="json")
             assert code == 0
             assert "internal_error" not in json.loads(out)["spin"]
+
+    def test_alpha_slides_leave_standard_position(self, tmp_path: Path) -> None:
+        # two alpha slides keep both lattice checks of the y route but break
+        # the alpha-beta pairing of standard position; the y route refuses
+        # the diagram rather than give a spin verdict that differs from z's
+        slid = slide(slide(corpus_diagram("std-g2b2-mixed"), "alpha", 0, 1), "alpha", 1, 0)
+        refusal = slid.standard_position_refusal
+        assert refusal.startswith("the alpha and beta classes do not pair as in standard position")
+        path = write_diagram(tmp_path, slid)
+        code, out = run("spin", path, complex_choice="y", fmt="json")
+        assert code == 3 and refusal in out
+        code, out = run("report", path, fmt="json")
+        assert code == 0
+        spin = json.loads(out)["spin"]
+        assert spin["y"] == {"skipped": refusal}
+        assert "internal_error" not in spin
 
     def test_report_analyzes_the_diagram_once(self, monkeypatch, tmp_path: Path) -> None:
         validations = []

@@ -11,7 +11,8 @@ outputs, rewrite the snapshot with
 
     PYTHONPATH=src python tests/test_cli_digests.py
 
-and name the keys that changed in the change's description.
+which prints each key that changed, appeared or disappeared before it
+writes, and name those keys in the change's description.
 """
 
 from __future__ import annotations
@@ -33,6 +34,7 @@ from trihom.surface import Diagram  # noqa: E402
 FIXTURES = Path(__file__).parent / "fixtures"
 SNAPSHOT = Path(__file__).parent / "cli_digests.json"
 
+COMMANDS = ("validate", "homology", "form", "w2", "spin", "report")
 ROUTED = ("homology", "w2", "spin")
 CHOICES = ("y", "z", "closed", "all")
 ASSERTED = (("report", "all"), ("w2", "y"), ("w2", "all"), ("spin", "y"), ("spin", "all"))
@@ -64,22 +66,23 @@ def _sources() -> dict[str, dict]:
     return out
 
 
+def _runs(source: str):
+    """(key, command, route choice, format, assertion) of each output of source."""
+    plain = [(c, ch, False) for c in COMMANDS for ch in (CHOICES if c in ROUTED else ("all",))]
+    for command, choice, asserted in plain + [(c, ch, True) for c, ch in ASSERTED]:
+        for fmt in ("json", "text"):
+            key = f"{source}:{command}:{choice}:{fmt}" + (":asserted" if asserted else "")
+            yield key, command, choice, fmt, asserted
+
+
 def _digests(source: str, obj: dict, workdir: Path) -> dict[str, str]:
     path = workdir / "diagram.json"
     path.write_text(json.dumps(obj))
     out = {}
-    for command in ("validate", "homology", "form", "w2", "spin", "report"):
-        for choice in CHOICES if command in ROUTED else ("all",):
-            for fmt in ("json", "text"):
-                code, text = run(command, str(path), complex_choice=choice, fmt=fmt)
-                blob = f"{code}\n{text}".encode()
-                out[f"{source}:{command}:{choice}:{fmt}"] = hashlib.sha256(blob).hexdigest()
-    for command, choice in ASSERTED:
-        for fmt in ("json", "text"):
-            code, text = run(command, str(path), complex_choice=choice, fmt=fmt,
-                             assert_standard=True)
-            blob = f"{code}\n{text}".encode()
-            out[f"{source}:{command}:{choice}:{fmt}:asserted"] = hashlib.sha256(blob).hexdigest()
+    for key, command, choice, fmt, asserted in _runs(source):
+        code, text = run(command, str(path), complex_choice=choice, fmt=fmt,
+                         assert_standard=asserted)
+        out[key] = hashlib.sha256(f"{code}\n{text}".encode()).hexdigest()
     return out
 
 
@@ -94,11 +97,27 @@ def test_outputs_match_snapshot(source: str, tmp_path: Path) -> None:
     assert not changed, changed
 
 
+def test_snapshot_has_no_stale_key() -> None:
+    produced = {key for source in SOURCES for key, *_ in _runs(source)}
+    stale = sorted(set(json.loads(SNAPSHOT.read_text())) - produced)
+    assert not stale, stale
+
+
 def _write_snapshot() -> None:
+    """Rewrite the snapshot, first printing each key whose digest changed,
+    appeared or disappeared."""
+    old = json.loads(SNAPSHOT.read_text()) if SNAPSHOT.exists() else {}
     digests: dict[str, str] = {}
     with tempfile.TemporaryDirectory() as tmp:
         for source, obj in SOURCES.items():
             digests.update(_digests(source, obj, Path(tmp)))
+    for key in sorted(old.keys() | digests.keys()):
+        if key not in digests:
+            print(f"removed {key}")
+        elif key not in old:
+            print(f"added {key}")
+        elif old[key] != digests[key]:
+            print(f"changed {key}")
     SNAPSHOT.write_text(json.dumps(digests, indent=1, sort_keys=True) + "\n")
 
 

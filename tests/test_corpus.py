@@ -285,8 +285,9 @@ def slide_invariants(d) -> tuple:
     """What slides and transvections must keep: the homology by every route
     with inferred k, the form's invariants, and the z spin verdict. The y
     linking, w2 and spin are left out: after an alpha or beta slide the
-    diagram leaves standard position, which the y route cannot yet detect
-    (ROADMAP item 1)."""
+    diagram leaves standard position. The y route refuses most such
+    diagrams by their alpha-beta pairing, but a few slid diagrams still
+    pass that check with a wrong y verdict (ROADMAP item 2)."""
     _, homology = build_report(d, "homology")
     _, form = build_report(d, "form")
     return homology, form_invariants(form["intersection_form"]), spin_z(d).spin
@@ -298,6 +299,28 @@ def test_slides_preserve_invariants(entry: CorpusEntry) -> None:
     want = slide_invariants(d)
     for seed in range(10):
         assert slide_invariants(slid(d, random.Random(seed), 6)) == want, seed
+
+
+def slid_alpha_beta(d, seed: int):
+    """d moved by 3 seeded +-1 alpha or beta slides."""
+    rng = random.Random(seed)
+    for _ in range(3):
+        target, source = rng.sample(range(d.sig.curves_per_family), 2)
+        d = slide(d, rng.choice(("alpha", "beta")), target, source, rng.choice((-1, 1)))
+    return d
+
+
+SLIDABLE = [(name, d) for name, d in Y_ROUTED if d.sig.curves_per_family > 1]
+
+
+@pytest.mark.parametrize("name, d", SLIDABLE, ids=[name for name, _ in SLIDABLE])
+def test_alpha_beta_slides_refused_or_agree_on_spin(name, d) -> None:
+    # the slides leave standard position; the y route must refuse the
+    # diagram or give the z route's verdict, never a different one
+    for seed in range(10):
+        moved = slid_alpha_beta(d, seed)
+        if moved.standard_position_refusal is None:
+            assert spin_y(moved).spin == spin_z(moved).spin, seed
 
 
 GROWTH_CASES = {

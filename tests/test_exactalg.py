@@ -118,10 +118,12 @@ class TestSmithNormalForm:
         rng = random.Random(20260817)
         rhs_rng = random.Random(424242)
         solvable_seen = set()
-        for _ in range(60):
-            rows = rng.randint(0, 4)
-            cols = rng.randint(0, 4)
-            m = random_matrix(rng, rows, cols)
+        matrices = [random_matrix(rng, rng.randint(0, 4), rng.randint(0, 4)) for _ in range(60)]
+        # up to 6x6 with entries up to 2^40, where the transforms grow
+        wide = random.Random(20261019)
+        shapes = [(1, 6), (6, 1)] + [(wide.randint(1, 6), wide.randint(1, 6)) for _ in range(38)]
+        matrices += [random_matrix(wide, r, c, bound=2 ** wide.randint(1, 40)) for r, c in shapes]
+        for m in matrices:
             dec = snf(m)
 
             assert dec.U.mul(m).mul(dec.V).to_rows() == dec.D.to_rows()
@@ -142,7 +144,7 @@ class TestSmithNormalForm:
             full = _snf_with_inverses(m, names)
             u, d, v, uinv = full
             assert (u, d, v) == (dec.U, dec.D, dec.V)
-            assert u.mul(uinv) == IntMatrix.identity(m.rows)
+            assert u.mul(uinv) == uinv.mul(u) == IntMatrix.identity(m.rows)
             for keep in subsets:
                 want = tuple(x if name == "D" or name in keep else None
                              for name, x in zip(("U", "D", "V", "Uinv"), full))
