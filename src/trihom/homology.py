@@ -19,7 +19,7 @@ from .exactalg import (
     AbelianGroup,
     IntMatrix,
     Lattice,
-    hermite_solver,
+    _snf_with_inverses,
     lattice_intersect,
     lattice_sum,
     quotient_presentation,
@@ -137,12 +137,12 @@ def build_cz(d: Diagram) -> ChainComplex:
 
 
 def homology_of(c: ChainComplex) -> HomologyResult:
-    """H_i = ker(boundary out of C_i) / im(boundary into C_i), with the
-    kernel and the image of each boundary map from one Hermite form."""
-    solvers = [hermite_solver(m) for m in c.boundaries]
-    kernels = [Lattice.standard(c.ranks[0])] + [s.kernel for s in solvers]
-    images = [s.span for s in solvers] + [Lattice.zero(c.ranks[3])]
-    groups = [quotient_presentation(k, im) for k, im in zip(kernels, images)]
+    """H_i is C_i / im d_{i+1} with free rank lowered by rank d_i (ker d_i is saturated
+    and holds im d_{i+1}); the image's Hermite basis is that quotient's relation matrix."""
+    images = [Lattice.from_matrix_columns(m).basis for m in c.boundaries]
+    diags = [_snf_with_inverses(im)[1].diagonal() for im in images] + [()]
+    outs = [0] + [im.cols for im in images]
+    groups = [AbelianGroup.from_smith_diagonal(r - o, x) for r, o, x in zip(c.ranks, outs, diags)]
     return HomologyResult(*groups, source=c.source)
 
 

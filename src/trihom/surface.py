@@ -402,7 +402,8 @@ class DiagramMatrices:
     """Matrix-mode diagram: the pairing data of a standard-position diagram.
 
     Rows of q_gamma_beta / q_alpha_gamma index the gamma / alpha curves;
-    q_a_gamma pairs the l page arcs against the gamma curves. k, when
+    q_a_gamma pairs the l page arcs against the gamma curves. Alpha and
+    beta list the k1 - l curves they share first. k, when
     given, is the supplied (k_1, k_2, k_3); validation checks it against k1
     and the bounds. The validation report and the y route's linking matrix
     and page pairing are computed on first use and kept, as on Diagram.
@@ -607,19 +608,21 @@ def validate_matrices(m: DiagramMatrices) -> ValidationReport:
     )
 
     if m.q_beta_alpha is not None and not bad and k_ok:
-        # every class in L_beta cap L_alpha pairs to zero against all of
-        # alpha, so the pairing matrix loses one rank per intersection class
+        # the first k1 - l alpha curves are the ones shared with beta
+        # (page_basis); each pairs to zero against all of beta, so those
+        # columns vanish and the rank is at most c - (k1 - l)
+        shared = m.k1 - sig.l
         rank = hermite_column_form(m.q_beta_alpha).cols
-        limit = c - (m.k1 - sig.l)
-        checks.append(
-            ValidationCheck(
-                "q_beta_alpha_rank",
-                rank <= limit,
-                f"rank {rank} exceeds {limit} allowed by k1={m.k1}"
-                if rank > limit
-                else f"rank {rank} within bound {limit}",
-            )
-        )
+        limit = c - shared
+        stray = [j for j in range(shared) if any(m.q_beta_alpha.column(j))]
+        if rank > limit:
+            detail = f"rank {rank} exceeds {limit} allowed by k1={m.k1}"
+        elif stray:
+            detail = (f"alpha curves {stray} pair nonzero with beta, but matrix mode "
+                      f"takes the first k1-l={shared} alpha curves as shared with beta")
+        else:
+            detail = f"rank {rank} within bound {limit}"
+        checks.append(ValidationCheck("q_beta_alpha_rank", not stray, detail))
 
     if m.k is not None:
         checks.append(

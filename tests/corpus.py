@@ -13,7 +13,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Sequence
 
-from trihom.exactalg import IntMatrix
+from trihom.exactalg import IntMatrix, Lattice, hermite_solver, quotient_presentation
+from trihom.homology import ChainComplex, HomologyResult
 from trihom.surface import Diagram, j_matrix
 
 Entries = list[tuple[int, int]]
@@ -116,6 +117,17 @@ def signature_int(m: IntMatrix) -> int:
         rest = [k for k in range(n) if k != i]
         work = [[work[r][c] - work[r][i] * work[i][c] / pivot for c in rest] for r in rest]
     return sig
+
+
+def homology_by_kernels(c: ChainComplex) -> HomologyResult:
+    """Reference homology H_i = ker d_i / im d_{i+1}: the kernel and the
+    image of each boundary map from one Hermite form of [d; I], and each
+    quotient from the Smith form of its relation matrix."""
+    solvers = [hermite_solver(m) for m in c.boundaries]
+    kernels = [Lattice.standard(c.ranks[0])] + [s.kernel for s in solvers]
+    images = [s.span for s in solvers] + [Lattice.zero(c.ranks[3])]
+    groups = [quotient_presentation(k, im) for k, im in zip(kernels, images)]
+    return HomologyResult(*groups, source=c.source)
 
 
 def transvect(d: Diagram, c: Sequence[int]) -> Diagram:

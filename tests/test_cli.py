@@ -222,6 +222,23 @@ class TestExitCodes:
         }
         assert run("report", path)[0] == 0
 
+    def test_matrix_mode_takes_the_shared_curves_first(self, tmp_path: Path) -> None:
+        fixture = json.loads(Path(MATRIX_FIXTURE).read_text())
+        # with k1 = 2 and l = 1, alpha curve 0 is the one shared with beta, so
+        # column 0 of Q_beta_alpha must vanish; both matrices have rank 1
+        path = write_json(tmp_path, {**fixture, "k1": 2, "Q_beta_alpha": [[1, 0], [0, 0]]})
+        for command in ("validate", "report"):
+            code, out = run(command, path, fmt="json")
+            assert code == 1, command
+            failed = [c for c in json.loads(out)["validation"]["checks"] if not c["passed"]]
+            assert [c["name"] for c in failed] == ["q_beta_alpha_rank"]
+            assert failed[0]["detail"].startswith("alpha curves [0] pair nonzero with beta")
+        path = write_json(tmp_path, {**fixture, "k1": 2, "Q_beta_alpha": [[0, 0], [0, 1]]})
+        code, out = run("validate", path, fmt="json")
+        assert code == 0
+        checks = {c["name"]: c["detail"] for c in json.loads(out)["validation"]["checks"]}
+        assert checks["q_beta_alpha_rank"] == "rank 1 within bound 1"
+
     def test_curve_commands_unavailable_in_matrix_mode(self) -> None:
         assert run("homology", MATRIX_FIXTURE)[0] == 3
         assert run("form", MATRIX_FIXTURE)[0] == 3
@@ -505,6 +522,9 @@ class TestReport:
             # [alpha | beta] is split by a Hermite solver, never a Smith form
             assert sum(s is m for s in solved for m in stacked) == 1
             assert not any(f is m for f, _ in factored for m in stacked)
+            # the routes read homology off the images of their boundary maps, so
+            # the only relation matrices are the closed route's H_1 and H_2
+            assert len(relations) == 2
             # the H_2 relation matrix is built once, for both H_2 and the form
             (_, num, den, h2), = [r for r in relations if r[0] is surface]
             assert [r for r in relations if (r[1], r[2]) == (num, den)] == [(surface, num, den, h2)]

@@ -1,7 +1,11 @@
 """Chain complexes, homology routes, and the relative intersection pairing."""
 
+import math
+import random
+
 import pytest
 
+from corpus import homology_by_kernels
 from trihom.exactalg import IntMatrix
 from trihom.homology import (
     ChainComplex,
@@ -141,6 +145,65 @@ class TestHomologyRoutes:
         assert homology_of(build_cy(d)).source == "y"
         assert homology_of(build_cz(d)).source == "z"
         assert h_closed_forms(d).source == "closed"
+
+
+def unimodular_pair(rng: random.Random, n: int) -> tuple[IntMatrix, IntMatrix]:
+    """A random unimodular n x n matrix P and its inverse, from elementary
+    row operations on P matched by inverse column operations on P^-1."""
+    p = [[int(i == j) for j in range(n)] for i in range(n)]
+    q = [row[:] for row in p]
+    for _ in range(3 * n if n > 1 else 0):
+        i, j = rng.sample(range(n), 2)
+        c = rng.choice((-2, -1, 1, 2))
+        p[i] = [a + c * b for a, b in zip(p[i], p[j])]
+        for row in q:
+            row[j] -= c * row[i]
+    return IntMatrix.from_rows(p, cols=n), IntMatrix.from_rows(q, cols=n)
+
+
+def random_complex(rng: random.Random) -> tuple[ChainComplex, list[tuple[int, list[int]]]]:
+    """A complex with known homology, and that homology as (free rank,
+    diagonal of the torsion relations) per degree.
+
+    In adapted bases C_i splits into s_i boundaries, h_i free cycles and
+    s_{i-1} basis vectors that d_i sends to t times a boundary of C_{i-1}.
+    So d_i d_{i+1} = 0, d_{i+1} has rank s_i, below both of its
+    dimensions when h_i and h_{i+1} are positive, and H_i = Z^{h_i} plus
+    the Z/t of degree i. Unimodular changes of basis then hide the split.
+    """
+    s = [rng.randint(0, 2) for _ in range(3)] + [0]
+    h = [rng.randint(0, 2) for _ in range(4)]
+    t = [[rng.choice((1, 2, 3, 4, 6)) for _ in range(k)] for k in s]
+    ranks = [s[i] + h[i] + (s[i - 1] if i else 0) for i in range(4)]
+    bases = [unimodular_pair(rng, r) for r in ranks]
+    boundaries = []
+    for i in range(3):
+        # C_{i+1} -> C_i: the last s_i basis vectors of C_{i+1} onto the first s_i of C_i
+        rows = [[0] * ranks[i + 1] for _ in range(ranks[i])]
+        offset = s[i + 1] + h[i + 1]
+        for k, tk in enumerate(t[i]):
+            rows[k][offset + k] = tk
+        adapted = IntMatrix.from_rows(rows, cols=ranks[i + 1])
+        boundaries.append(bases[i][0].mul(adapted).mul(bases[i + 1][1]))
+    c = ChainComplex(ranks=tuple(ranks), boundaries=tuple(boundaries), source="random")
+    return c, list(zip(h, t))
+
+
+class TestImageOnlyReading:
+    def test_random_complexes_match_the_kernel_oracle(self) -> None:
+        rng = random.Random(17)
+        torsion_in_h1_and_h2 = 0
+        for _ in range(60):
+            c, known = random_complex(rng)
+            got = homology_of(c)
+            assert got == homology_by_kernels(c)
+            for group, (free, diagonal) in zip(got.groups(), known):
+                assert group.free_rank == free
+                assert math.prod(group.invariant_factors) == math.prod(diagonal)
+            ranks = [g.free_rank for g in got.groups()]
+            assert ranks[0] - ranks[1] + ranks[2] - ranks[3] == euler_characteristic(c)
+            torsion_in_h1_and_h2 += bool(got.h1.invariant_factors and got.h2.invariant_factors)
+        assert torsion_in_h1_and_h2 >= 5
 
 
 class TestEulerCharacteristic:
