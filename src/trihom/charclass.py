@@ -30,8 +30,12 @@ class W2Representative:
     """Mod-2 cocycle coefficients against a named basis of 2-handle classes."""
 
     basis: str
-    coefficients: tuple[int, ...]
     linking: IntMatrix
+
+    @property
+    def coefficients(self) -> tuple[int, ...]:
+        """The linking matrix's diagonal mod 2."""
+        return tuple(x & 1 for x in self.linking.diagonal())
 
 
 @dataclass(frozen=True)
@@ -63,21 +67,11 @@ def linking_matrix_z(d: Diagram) -> IntMatrix:
 
 
 def w2_y(data: Diagram | DiagramMatrices) -> W2Representative:
-    linking = linking_matrix_y(data)
-    return W2Representative(
-        basis="gamma curves",
-        coefficients=tuple(x & 1 for x in linking.diagonal()),
-        linking=linking,
-    )
+    return W2Representative("gamma curves", linking_matrix_y(data))
 
 
 def w2_z(d: Diagram) -> W2Representative:
-    linking = linking_matrix_z(d)
-    return W2Representative(
-        basis="alpha, beta, gamma curves stacked",
-        coefficients=tuple(x & 1 for x in linking.diagonal()),
-        linking=linking,
-    )
+    return W2Representative("alpha, beta, gamma curves stacked", linking_matrix_z(d))
 
 
 def spin_y(data: Diagram | DiagramMatrices) -> SpinVerdict:

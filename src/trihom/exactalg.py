@@ -40,8 +40,9 @@ def _ints(values: Sequence[Any]) -> tuple[int, ...]:
 class IntMatrix:
     """Dense integer matrix, row-major, immutable.
 
-    The constructor and from_rows/from_columns check every entry; matrices
-    built here from entries that are already ints skip that scan.
+    The constructor and from_rows/from_columns store every entry as an
+    int in a tuple; matrices built here from entries that are already ints
+    skip that scan.
     """
 
     rows: int
@@ -56,9 +57,7 @@ class IntMatrix:
                 f"entry count {len(self.entries)} does not match shape "
                 f"{self.rows}x{self.cols}"
             )
-        for e in self.entries:
-            if not isinstance(e, int):
-                raise ValueError(f"non-integer entry {e!r}")
+        object.__setattr__(self, "entries", _ints(self.entries))
 
     @classmethod
     def _of(cls, rows: int, cols: int, entries: tuple[int, ...]) -> "IntMatrix":
@@ -169,26 +168,26 @@ class SmithDecomposition:
 
 
 def _snf_with_inverses(
-    m: IntMatrix, keep: Sequence[str] = ()
+    m: IntMatrix, transforms: bool = False
 ) -> tuple[IntMatrix | None, IntMatrix, IntMatrix | None, IntMatrix | None]:
-    """Smith form plus the transforms named in keep.
+    """Smith form, with its transforms when asked for.
 
-    Returns (U, D, V, Uinv) with U m V = D and U Uinv = I; a transform not
-    named in keep ("U", "V", "Uinv") is None. One elimination reduces one
-    matrix x: the rows of m, each followed by its identity row when U or
-    Uinv is kept ([m | I]), then the c identity rows of V when V is kept
-    ([m; I]). Row operations on the first r rows carry U along and column
+    Returns (U, D, V, Uinv) with U m V = D and U Uinv = I; without
+    transforms only D is computed and the others are None. One elimination
+    reduces one matrix x: the rows of m, and with transforms each row
+    followed by its identity row ([m | I]) and then the c identity rows of
+    V ([m; I]). Row operations on the first r rows carry U along and column
     operations on the first c columns carry V; the V rows are only c long,
     as no row operation reaches them. Uinv is the transform of the Hermite
     solve of U, whose span is all of Z^r. Pivot rule: smallest nonzero
     absolute value in the active block, ties broken by lowest (row, col).
-    The pivot sequence depends only on m, so D and every kept transform
-    are pure functions of the input, whichever others are kept.
+    The pivot sequence depends only on m, so D is the same with and
+    without transforms.
     """
     r, c = m.rows, m.cols
-    with_u = "U" in keep or "Uinv" in keep
-    x = [list(m.row(i)) + ([int(i == k) for k in range(r)] if with_u else []) for i in range(r)]
-    if "V" in keep:
+    x = [list(m.row(i)) for i in range(r)]
+    if transforms:
+        x = [row + [int(i == k) for k in range(r)] for i, row in enumerate(x)]
         x += [[int(i == j) for j in range(c)] for i in range(c)]
 
     t = 0
@@ -234,18 +233,16 @@ def _snf_with_inverses(
         else:
             t += 1
 
-    u = IntMatrix.from_rows([row[c:] for row in x[:r]], cols=r) if with_u else None
-    return (
-        u if "U" in keep else None,
-        IntMatrix.from_rows([row[:c] for row in x[:r]], cols=c),
-        IntMatrix.from_rows(x[r:], cols=c) if "V" in keep else None,
-        hermite_solver(u).transform if "Uinv" in keep else None,
-    )
+    d = IntMatrix.from_rows([row[:c] for row in x[:r]], cols=c)
+    if not transforms:
+        return None, d, None, None
+    u = IntMatrix.from_rows([row[c:] for row in x[:r]], cols=r)
+    return u, d, IntMatrix.from_rows(x[r:], cols=c), hermite_solver(u).transform
 
 
 def snf(m: IntMatrix) -> SmithDecomposition:
     """Smith normal form with both transforms: U m V = D."""
-    u, d, v, _ = _snf_with_inverses(m, ("U", "V"))
+    u, d, v, _ = _snf_with_inverses(m, transforms=True)
     return SmithDecomposition(u, d, v)
 
 

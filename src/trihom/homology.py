@@ -22,7 +22,6 @@ from .exactalg import (
     _snf_with_inverses,
     lattice_intersect,
     lattice_sum,
-    quotient_presentation,
 )
 from .surface import (
     Diagram,
@@ -147,11 +146,14 @@ def homology_of(c: ChainComplex) -> HomologyResult:
 
 
 def h_closed_forms(d: Diagram) -> HomologyResult:
-    """The four groups straight from lattice arithmetic, no complexes."""
+    """The four groups straight from lattice arithmetic, no complexes.
+    H_1 is Z^n / (L_alpha + L_beta + L_gamma), and the Hermite basis of
+    that sum is its relation matrix in the standard basis of Z^n."""
     require_valid(d)
     lg = d.lattices["gamma"]
     h0 = AbelianGroup(1)
-    h1 = quotient_presentation(Lattice.standard(d.sig.n), lattice_sum(d.alpha_beta_sum, lg))
+    curves = lattice_sum(d.alpha_beta_sum, lg).basis
+    h1 = AbelianGroup.from_smith_diagonal(d.sig.n, _snf_with_inverses(curves)[1].diagonal())
     h2 = AbelianGroup.from_smith_diagonal(d.h2_lattices[0].rank, d.h2_relations[0])
     h3 = AbelianGroup(lattice_intersect(d.intersections["alpha", "beta"], lg).rank)
     return HomologyResult(h0, h1, h2, h3, source="closed")

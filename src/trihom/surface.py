@@ -112,24 +112,11 @@ def r_matrix(sig: SurfaceSignature) -> IntMatrix:
     return IntMatrix.from_rows(rows, cols=m)
 
 
-def intersection_number(
-    sig: SurfaceSignature,
-    x: Sequence[int],
-    y: Sequence[int],
-    *,
-    x_is_arc: bool = False,
-    y_is_arc: bool = False,
-) -> int:
-    """Algebraic intersection number of two classes on the surface."""
+def intersection_number(sig: SurfaceSignature, x: Sequence[int], y: Sequence[int]) -> int:
+    """Algebraic intersection number x^T J y of two curve classes."""
     if len(x) != sig.n or len(y) != sig.n:
         raise ValueError(f"class length must be n={sig.n}")
-    if x_is_arc and y_is_arc:
-        raise ValueError("arc-arc intersection numbers are not defined here")
-    if x_is_arc:
-        return sum(a * c for a, c in zip(x, y))
-    if y_is_arc:
-        return -sum(a * c for a, c in zip(y, x))
-    # x^T J y without J: each handle pair contributes its 2x2 determinant
+    # without J: each handle pair contributes its 2x2 determinant
     return sum(x[2 * h] * y[2 * h + 1] - x[2 * h + 1] * y[2 * h] for h in range(sig.g))
 
 
@@ -145,20 +132,10 @@ def to_relative(sig: SurfaceSignature, x: Sequence[int]) -> tuple[int, ...]:
 
 
 def q_matrix(
-    sig: SurfaceSignature,
-    mu: Sequence[Sequence[int]],
-    nu: Sequence[Sequence[int]],
-    *,
-    mu_arcs: bool = False,
+    sig: SurfaceSignature, mu: Sequence[Sequence[int]], nu: Sequence[Sequence[int]]
 ) -> IntMatrix:
-    """Pairing matrix Q[i][j] = <mu_i, nu_j>."""
-    rows = [
-        [
-            intersection_number(sig, m, v, x_is_arc=mu_arcs)
-            for v in nu
-        ]
-        for m in mu
-    ]
+    """Pairing matrix Q[i][j] = <mu_i, nu_j> of two lists of curve classes."""
+    rows = [[intersection_number(sig, m, v) for v in nu] for m in mu]
     return IntMatrix.from_rows(rows, cols=len(nu))
 
 
@@ -299,7 +276,7 @@ class Diagram:
         """Smith diagonal and U^-1 of the H_2 relation matrix (the
         coordinates of the denominator's basis in the numerator's): the
         diagonal gives H_2, U^-1 the form's basis of the numerator."""
-        _, dg, _, uinv = _snf_with_inverses(relation_matrix(*self.h2_lattices), ("Uinv",))
+        _, dg, _, uinv = _snf_with_inverses(relation_matrix(*self.h2_lattices), transforms=True)
         return dg.diagonal(), uinv
 
     @cached_property
@@ -376,7 +353,9 @@ class Diagram:
         sig = self.sig
         qgb = q_matrix(sig, self.gamma, self.beta)
         qag = q_matrix(sig, self.alpha, self.gamma)
-        qa_g = q_matrix(sig, self.special_arcs, self.gamma, mu_arcs=True)
+        # an arc a pairs with a curve x by a^T x
+        arcs = IntMatrix.from_rows(self.special_arcs, cols=sig.n)
+        qa_g = arcs.mul(self.family_matrices["gamma"])
         return _page_linking(sig, qgb, qag, qa_g)
 
     @cached_property

@@ -185,6 +185,32 @@ def slide(d: Diagram, family: str, target: int, source: int, coeff: int = 1) -> 
     )
 
 
+def mirror(d: Diagram) -> Diagram:
+    """The diagram of the mirror -X: the two coordinates of every handle
+    pair swapped in every curve and arc class. That reverses the surface's
+    orientation, so every curve-curve pairing changes sign. An omitted arc
+    system stands for the dual basis, whose mirror is written out."""
+    def swap(v: Sequence[int]) -> list[int]:
+        v = list(v)
+        for h in range(d.sig.g):
+            v[2 * h], v[2 * h + 1] = v[2 * h + 1], v[2 * h]
+        return v
+
+    fams = {name: [swap(v) for v in d.family(name)] for name in ("alpha", "beta", "gamma")}
+    arcs = d.arcs if d.arcs is not None else IntMatrix.identity(d.sig.n)
+    return Diagram.build(
+        d.sig.g,
+        d.sig.p,
+        d.sig.b,
+        fams["alpha"],
+        fams["beta"],
+        fams["gamma"],
+        k=d.k,
+        arcs=[swap(arcs.column(j)) for j in range(arcs.cols)],
+        standard_position=d.standard_position,
+    )
+
+
 def standard_arcs(g: int, b: int) -> list[list[int]]:
     # boundary-parallel arcs come first so they fill the l page slots
     n = 2 * g + b - 1

@@ -10,7 +10,7 @@ from pathlib import Path
 import pytest
 
 from corpus import corpus, slide
-from trihom import cli, exactalg, surface
+from trihom import cli, exactalg, homology, surface
 from trihom.cli import ParseError, main, parse, parse_obj, run
 from trihom.exactalg import AbelianGroup, IntMatrix
 from trihom.homology import HomologyResult
@@ -445,12 +445,12 @@ class TestReport:
                 stacked.append(out)
             return out
 
-        factored = []  # (matrix, kept transforms) of every Smith form
+        factored = []  # (matrix, transforms) of every Smith form
         real_snf = exactalg._snf_with_inverses
 
-        def recording_snf(m, keep=()):
-            factored.append((m, tuple(keep)))
-            return real_snf(m, keep)
+        def recording_snf(m, transforms=False):
+            factored.append((m, transforms))
+            return real_snf(m, transforms)
 
         relations = []  # (module, numerator, denominator, matrix) of every relation matrix
         real_relation_matrix = exactalg.relation_matrix
@@ -483,6 +483,7 @@ class TestReport:
         monkeypatch.setattr(IntMatrix, "hstack", recording_hstack)
         for module in (exactalg, surface):
             monkeypatch.setattr(module, "relation_matrix", recording_relation_matrix(module))
+        for module in (exactalg, surface, homology):
             monkeypatch.setattr(module, "_snf_with_inverses", recording_snf)
         members = {
             surface.Diagram: ("family_matrices", "standard_position_refusal", "linking_y",
@@ -522,14 +523,12 @@ class TestReport:
             # [alpha | beta] is split by a Hermite solver, never a Smith form
             assert sum(s is m for s in solved for m in stacked) == 1
             assert not any(f is m for f, _ in factored for m in stacked)
-            # the routes read homology off the images of their boundary maps, so
-            # the only relation matrices are the closed route's H_1 and H_2
-            assert len(relations) == 2
-            # the H_2 relation matrix is built once, for both H_2 and the form
-            (_, num, den, h2), = [r for r in relations if r[0] is surface]
-            assert [r for r in relations if (r[1], r[2]) == (num, den)] == [(surface, num, den, h2)]
-            # the only Smith transform is U^-1 of that matrix, and it is factored once
-            assert [(f, keep) for f, keep in factored if keep] == [(h2, ("Uinv",))]
+            # every route reads H_1 off a Hermite basis in the standard basis, so the
+            # one relation matrix is H_2's, built once for both H_2 and the form
+            (module, _, _, h2), = relations
+            assert module is surface
+            # only that matrix is factored with transforms, for U^-1, and only once
+            assert [(f, t) for f, t in factored if t] == [(h2, True)]
             assert sum(f is h2 for f, _ in factored) == 1
             # the linking, w2 and spin sections and the y complex read one
             # arc check, linking matrix and page pairing off the one diagram,

@@ -11,6 +11,7 @@ from corpus import (
     corpus,
     det_int,
     homology_by_kernels,
+    mirror,
     signature_int,
     slide,
     standard_diagram,
@@ -192,12 +193,13 @@ def as_matrices(d) -> DiagramMatrices:
     sig = d.sig
     order = sorted(range(sig.curves_per_family), key=lambda i: d.alpha[i] != d.beta[i])
     alpha, beta = [d.alpha[i] for i in order], [d.beta[i] for i in order]
+    arcs = IntMatrix.from_rows(d.special_arcs, cols=sig.n)  # an arc pairs with a curve by a^T x
     return DiagramMatrices(
         sig=sig,
         k1=infer_k(d)[0],
         q_gamma_beta=q_matrix(sig, d.gamma, beta),
         q_alpha_gamma=q_matrix(sig, alpha, d.gamma),
-        q_a_gamma=q_matrix(sig, d.special_arcs, d.gamma, mu_arcs=True),
+        q_a_gamma=arcs.mul(d.family_matrices["gamma"]),
         q_beta_alpha=q_matrix(sig, beta, alpha),
     )
 
@@ -318,6 +320,22 @@ def test_slides_preserve_invariants(entry: CorpusEntry) -> None:
     want = slide_invariants(d)
     for seed in range(10):
         assert slide_invariants(slid(d, random.Random(seed), 6)) == want, seed
+
+
+@pytest.mark.parametrize("entry", ENTRIES, ids=entry_ids)
+def test_mirror_negates_the_signature(entry: CorpusEntry) -> None:
+    # -X has the homology, |det|, parity and spin of X and the opposite
+    # signature; the y route refuses both or gives both one verdict
+    d = replace(entry.diagram, standard_position=True)
+    m = mirror(d)
+    assert build_report(m, "homology")[1] == build_report(d, "homology")[1]
+    want, got = (form_invariants(build_report(x, "form")[1]["intersection_form"]) for x in (d, m))
+    rank, det, even, signature, torsion = want
+    assert got == (rank, det, even, -signature, torsion)
+    assert spin_z(m).spin == spin_z(d).spin
+    assert m.standard_position_refusal == d.standard_position_refusal
+    if d.standard_position_refusal is None:
+        assert spin_y(m).spin == spin_y(d).spin
 
 
 def slid_alpha_beta(d, seed: int):

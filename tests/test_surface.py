@@ -104,22 +104,8 @@ class TestPairing:
     def test_self_intersection_vanishes(self) -> None:
         assert intersection_number(TORUS, (1, 1), (1, 1)) == 0
 
-    def test_arc_pairings(self) -> None:
-        # f_i pairs with e_j by the Kronecker delta
-        assert intersection_number(TORUS, (1, 0), (1, 1), x_is_arc=True) == 1
-        assert intersection_number(TORUS, (0, 1), (1, 0), x_is_arc=True) == 0
-        assert intersection_number(TORUS, (1, 1), (1, 0), y_is_arc=True) == -1
-
-    def test_arc_arc_undefined(self) -> None:
-        with pytest.raises(ValueError):
-            intersection_number(TORUS, (1, 0), (0, 1), x_is_arc=True, y_is_arc=True)
-
     def test_anchor_q_matrix(self) -> None:
         assert q_matrix(TORUS, [(1, 0)], [(1, 1)]).to_rows() == [[1]]
-
-    def test_q_matrix_with_arc_rows(self) -> None:
-        got = q_matrix(TORUS, [(1, 0), (0, 1)], [(1, 1)], mu_arcs=True)
-        assert got.to_rows() == [[1], [1]]
 
     def test_to_relative(self) -> None:
         assert to_relative(TORUS, (1, 0)) == (0, 1)
