@@ -157,7 +157,8 @@ def parse(path: str, assert_standard: bool = False) -> Diagram | DiagramMatrices
     try:
         obj = json.loads(text)
     except json.JSONDecodeError as e:
-        raise ParseError(f"{path}: invalid JSON at line {e.lineno}, column {e.colno}: {e.msg}") from None
+        where = f"line {e.lineno}, column {e.colno}"
+        raise ParseError(f"{path}: invalid JSON at {where}: {e.msg}") from None
     except ValueError as e:  # an integer past the interpreter's digit limit
         raise ParseError(f"{path}: {e}") from None
     return parse_obj(obj, assert_standard)

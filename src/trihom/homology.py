@@ -35,28 +35,23 @@ from .surface import (
 class ChainComplex:
     """Four-term complex of free groups: C_3 -> C_2 -> C_1 -> C_0.
 
-    boundaries[i] is the map out of C_{i+1}; shapes are checked and the
-    double-composite is verified to vanish on construction.
+    boundaries[i] is the map out of C_{i+1}, so their shapes fix the ranks;
+    maps that do not compose, or whose double composite is not zero, are
+    refused with ValueError on construction.
     """
 
-    ranks: tuple[int, int, int, int]
     boundaries: tuple[IntMatrix, IntMatrix, IntMatrix]
     source: str
 
     def __post_init__(self) -> None:
         d1, d2, d3 = self.boundaries
-        expect = [
-            (self.ranks[0], self.ranks[1]),
-            (self.ranks[1], self.ranks[2]),
-            (self.ranks[2], self.ranks[3]),
-        ]
-        for i, (mat, (r, c)) in enumerate(zip(self.boundaries, expect), start=1):
-            if (mat.rows, mat.cols) != (r, c):
-                raise ValueError(
-                    f"boundary {i} has shape {mat.rows}x{mat.cols}, expected {r}x{c}"
-                )
         if not d1.mul(d2).is_zero or not d2.mul(d3).is_zero:
             raise ValueError("boundary maps do not compose to zero")
+
+    @property
+    def ranks(self) -> tuple[int, int, int, int]:
+        d1, d2, d3 = self.boundaries
+        return (d1.rows, d1.cols, d2.cols, d3.cols)
 
 
 @dataclass(frozen=True)
@@ -78,6 +73,13 @@ def _family_coordinates(d: Diagram, family: str, ambient: tuple[int, ...]) -> tu
     return x
 
 
+def _complex(d2: IntMatrix, cols3: list[list[int]], source: str) -> ChainComplex:
+    """The complex with second boundary d2, the columns cols3 of the third,
+    and the zero first boundary into C_0 = Z."""
+    d1 = IntMatrix.zeros(1, d2.rows)
+    return ChainComplex((d1, d2, IntMatrix.from_columns(d2.cols, cols3)), source)
+
+
 def build_cy(d: Diagram) -> ChainComplex:
     """Small complex from the alpha/beta compression data and gamma.
 
@@ -92,29 +94,16 @@ def build_cy(d: Diagram) -> ChainComplex:
             "this, and the small complex would compute the wrong homology. "
             "Use the large complex or the closed forms."
         )
-    w = d.partial_intersection
     ag = d.intersections["gamma", "alpha"]
     bg = d.intersections["beta", "gamma"]
-
-    cpf = d.sig.curves_per_family
-    cols3 = [
-        list(_family_coordinates(d, "gamma", gen)) for gen in ag.generators() + bg.generators()
-    ]
-    d3 = IntMatrix.from_columns(cpf, cols3)
-    d2 = d.page_pairing
-    d1 = IntMatrix.zeros(1, w.rank)
-    return ChainComplex(
-        ranks=(1, w.rank, cpf, ag.rank + bg.rank),
-        boundaries=(d1, d2, d3),
-        source="y",
-    )
+    cols3 = [list(_family_coordinates(d, "gamma", g)) for g in ag.generators() + bg.generators()]
+    return _complex(d.page_pairing, cols3, "y")
 
 
 def build_cz(d: Diagram) -> ChainComplex:
     """Large complex from all three curve families."""
     require_valid(d)
-    sig = d.sig
-    cpf = sig.curves_per_family
+    cpf = d.sig.curves_per_family
     families = ("alpha", "beta", "gamma")
     # a class of L_mu cap L_nu in mu's coordinates minus nu's, which d2 kills
     cols3: list[list[int]] = []
@@ -125,14 +114,7 @@ def build_cz(d: Diagram) -> ChainComplex:
             col[i : i + cpf] = _family_coordinates(d, mu, gen)
             col[j : j + cpf] = [-x for x in _family_coordinates(d, nu, gen)]
             cols3.append(col)
-    d3 = IntMatrix.from_columns(3 * cpf, cols3)
-    d2 = d.curve_rows.transpose()
-    d1 = IntMatrix.zeros(1, sig.n)
-    return ChainComplex(
-        ranks=(1, sig.n, 3 * cpf, len(cols3)),
-        boundaries=(d1, d2, d3),
-        source="z",
-    )
+    return _complex(d.curve_rows.transpose(), cols3, "z")
 
 
 def homology_of(c: ChainComplex) -> HomologyResult:
@@ -220,9 +202,6 @@ def intersection_form(d: Diagram) -> IntersectionForm:
     """
     require_valid(d)
     num = d.h2_lattices[0]
-    if num.rank == 0:
-        return IntersectionForm((), IntMatrix.zeros(0, 0), ())
-
     diag, uinv = d.h2_relations
     rank_rel = sum(1 for t in diag if t != 0)
     torsion = tuple(t for t in diag if t > 1)

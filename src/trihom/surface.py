@@ -238,14 +238,10 @@ class Diagram:
         return {f: solver.span for f, solver in self.family_solvers.items()}
 
     @cached_property
-    def partial_lattices(self) -> dict[str, Lattice]:
-        """L_mu_partial for the two families of the y route, alpha and beta."""
-        return {f: orthogonal_complement(self.lattices[f]) for f in ("alpha", "beta")}
-
-    @cached_property
     def partial_intersection(self) -> Lattice:
-        """L_alpha_partial cap L_beta_partial."""
-        return lattice_intersect(self.partial_lattices["alpha"], self.partial_lattices["beta"])
+        """L_alpha_partial cap L_beta_partial: the classes pairing to zero
+        with both families, which is the annihilator of L_alpha + L_beta."""
+        return orthogonal_complement(self.alpha_beta_sum)
 
     @cached_property
     def intersections(self) -> dict[tuple[str, str], Lattice]:
@@ -323,7 +319,7 @@ class Diagram:
                     "--assert-standard-position); without it use the z route")
         sig = self.sig
         for fam in ("alpha", "beta"):
-            target = self.partial_lattices[fam]
+            target = orthogonal_complement(self.lattices[fam])
             gens = [to_relative(sig, c) for c in self.family(fam)] + list(self.special_arcs)
             cand = Lattice.from_generators(sig.n, gens)
             if cand != target or len(gens) != target.rank:
@@ -425,8 +421,6 @@ def l_lattice(d: Diagram, family: str) -> Lattice:
 
 def l_partial_lattice(d: Diagram, family: str) -> Lattice:
     """Classes in H_1 rel boundary pairing to zero with the whole family."""
-    if family in d.partial_lattices:
-        return d.partial_lattices[family]
     return orthogonal_complement(l_lattice(d, family))
 
 

@@ -211,6 +211,49 @@ def mirror(d: Diagram) -> Diagram:
     )
 
 
+def boundary_sum(x: Diagram, y: Diagram) -> Diagram:
+    """A diagram of the boundary connected sum of X and Y, on the surface
+    of signature (g1+g2, p1+p2, b1+b2-1).
+
+    Coordinates run over X's handles, Y's handles, X's boundary classes,
+    then Y's. Each family is X's curves, then Y's. The arcs are X's special
+    arcs, Y's special arcs, then X's other arcs and Y's; an omitted arc
+    system stands for the dual basis and is written out. The sum carries
+    the standard-position assertion when both summands do.
+    """
+    hx, hy = 2 * x.sig.g, 2 * y.sig.g
+    bx, by = x.sig.b - 1, y.sig.b - 1
+
+    def from_x(v: Sequence[int]) -> list[int]:
+        return [*v[:hx], *[0] * hy, *v[hx:], *[0] * by]
+
+    def from_y(v: Sequence[int]) -> list[int]:
+        return [*[0] * hx, *v[:hy], *[0] * bx, *v[hy:]]
+
+    def arc_columns(d: Diagram, embed, special: bool) -> list[list[int]]:
+        arcs = d.arcs if d.arcs is not None else IntMatrix.identity(d.sig.n)
+        cols = range(d.sig.l) if special else range(d.sig.l, d.sig.n)
+        return [embed(arcs.column(j)) for j in cols]
+
+    fams = {
+        name: [from_x(v) for v in x.family(name)] + [from_y(v) for v in y.family(name)]
+        for name in ("alpha", "beta", "gamma")
+    }
+    arcs = [cols for special in (True, False)
+            for d, embed in ((x, from_x), (y, from_y))
+            for cols in arc_columns(d, embed, special)]
+    return Diagram.build(
+        x.sig.g + y.sig.g,
+        x.sig.p + y.sig.p,
+        x.sig.b + y.sig.b - 1,
+        fams["alpha"],
+        fams["beta"],
+        fams["gamma"],
+        arcs=arcs,
+        standard_position=x.standard_position and y.standard_position,
+    )
+
+
 def standard_arcs(g: int, b: int) -> list[list[int]]:
     # boundary-parallel arcs come first so they fill the l page slots
     n = 2 * g + b - 1

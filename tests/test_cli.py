@@ -462,6 +462,13 @@ class TestReport:
                 return out
             return wrapper
 
+        complements = []  # the argument of every orthogonal complement the diagram takes
+        real_complement = surface.orthogonal_complement
+
+        def recording_complement(lat):
+            complements.append(lat)
+            return real_complement(lat)
+
         built = []  # (member, object) of every completed build of a cached member
 
         def recording_member(cls, name):
@@ -481,6 +488,7 @@ class TestReport:
         monkeypatch.setattr(surface, "validate", counting_validate)
         monkeypatch.setattr(surface, "hermite_solver", recording_hermite_solver)
         monkeypatch.setattr(IntMatrix, "hstack", recording_hstack)
+        monkeypatch.setattr(surface, "orthogonal_complement", recording_complement)
         for module in (exactalg, surface):
             monkeypatch.setattr(module, "relation_matrix", recording_relation_matrix(module))
         for module in (exactalg, surface, homology):
@@ -503,10 +511,13 @@ class TestReport:
             beta=[list(c) for c in entry.beta],
             gamma=[list(c) for c in entry.gamma],
         ))
-        cases = ((CLASS_FIXTURE, False, False), (STANDARD_FIXTURE, False, True),
-                 (refused, True, False))
-        for path, asserted, y_runs in cases:
-            logs = (validations, family_matrices, solved, stacked, factored, relations, built)
+        # the page lattice is one complement, of L_alpha + L_beta; the arc
+        # check under the assertion adds one per family it reaches
+        cases = ((CLASS_FIXTURE, False, False, 1), (STANDARD_FIXTURE, False, True, 3),
+                 (refused, True, False, 2))
+        for path, asserted, y_runs, complemented in cases:
+            logs = (validations, family_matrices, solved, stacked, factored, relations,
+                    complements, built)
             for log in logs:
                 log.clear()
             code, out = run("report", path, fmt="json", assert_standard=asserted)
@@ -530,6 +541,7 @@ class TestReport:
             # only that matrix is factored with transforms, for U^-1, and only once
             assert [(f, t) for f, t in factored if t] == [(h2, True)]
             assert sum(f is h2 for f, _ in factored) == 1
+            assert len(complements) == complemented
             # the linking, w2 and spin sections and the y complex read one
             # arc check, linking matrix and page pairing off the one diagram,
             # and every route reads the family matrices built once

@@ -8,6 +8,7 @@ import pytest
 from corpus import (
     PATTERNS,
     CorpusEntry,
+    boundary_sum,
     corpus,
     det_int,
     homology_by_kernels,
@@ -28,7 +29,14 @@ from trihom.charclass import (
     w2_y,
     w2_z,
 )
-from trihom.exactalg import IntMatrix, kernel_basis
+from trihom.exactalg import (
+    AbelianGroup,
+    IntMatrix,
+    Lattice,
+    kernel_basis,
+    lattice_intersect,
+    quotient_presentation,
+)
 from trihom.homology import (
     build_cy,
     build_cz,
@@ -38,7 +46,7 @@ from trihom.homology import (
     intersection_form,
     phi,
 )
-from trihom.surface import DiagramMatrices, infer_k, q_matrix, validate
+from trihom.surface import DiagramMatrices, infer_k, l_partial_lattice, q_matrix, validate
 
 ENTRIES = corpus()
 MOVED = [e for e in ENTRIES if e.base is not None]
@@ -336,6 +344,58 @@ def test_mirror_negates_the_signature(entry: CorpusEntry) -> None:
     assert m.standard_position_refusal == d.standard_position_refusal
     if d.standard_position_refusal is None:
         assert spin_y(m).spin == spin_y(d).spin
+
+
+@pytest.mark.parametrize("entry", ENTRIES, ids=entry_ids)
+def test_page_lattice_is_the_annihilator_of_the_alpha_beta_sum(entry: CorpusEntry) -> None:
+    # the oracle builds the y complex's C_1 as it is defined, L_alpha_partial
+    # cap L_beta_partial; the diagram's annihilator of L_alpha + L_beta must
+    # give the same canonical basis, on the entry and on moved copies of it
+    for d in [entry.diagram] + [slid(entry.diagram, random.Random(seed), 6) for seed in range(10)]:
+        assert d.validation.ok
+        partials = (l_partial_lattice(d, f) for f in ("alpha", "beta"))
+        assert d.partial_intersection == lattice_intersect(*partials)
+
+
+def direct_sum(a: AbelianGroup, b: AbelianGroup) -> AbelianGroup:
+    """A + B, its torsion read off the two torsion parts' relations side by side."""
+    t = a.invariant_factors + b.invariant_factors
+    rows = [[x if i == j else 0 for j in range(len(t))] for i, x in enumerate(t)]
+    relations = Lattice.from_matrix_columns(IntMatrix.from_rows(rows, cols=len(t)))
+    torsion = quotient_presentation(Lattice.standard(len(t)), relations)
+    return AbelianGroup(a.free_rank + b.free_rank, torsion.invariant_factors)
+
+
+# a seeded sample of the ordered pairs of asserted entries
+SUM_PAIRS = random.Random(6).sample(
+    [(i, j) for i in range(len(ENTRIES)) for j in range(len(ENTRIES))], 48
+)
+
+
+@pytest.mark.parametrize("i, j", SUM_PAIRS,
+                         ids=[f"{ENTRIES[i].name}+{ENTRIES[j].name}" for i, j in SUM_PAIRS])
+def test_boundary_sum_adds_the_invariants(i: int, j: int) -> None:
+    # the boundary connected sum adds H_1..H_3, the form's rank and signature
+    # and multiplies |det|; it is even or spin when both summands are
+    x, y = ASSERTED[i], ASSERTED[j]
+    s = boundary_sum(x, y)
+    hx, hy, hs = (h_closed_forms(d).groups() for d in (x, y, s))
+    assert hs[0] == hx[0]
+    assert hs[1:] == tuple(direct_sum(a, b) for a, b in zip(hx[1:], hy[1:]))
+    assert homology_of(build_cz(s)).groups() == hs
+    (rx, dx, ex, sx, _), (ry, dy, ey, sy, _), (rs, ds, es, ss, _) = (
+        form_invariants(build_report(d, "form")[1]["intersection_form"]) for d in (x, y, s)
+    )
+    assert (rs, ds, es, ss) == (rx + ry, dx * dy, ex and ey, sx + sy)
+    assert spin_z(s).spin == (spin_z(x).spin and spin_z(y).spin)
+    if s.standard_position_refusal is None:
+        assert spin_y(s).spin == spin_z(s).spin
+
+
+def test_boundary_sum_sample_reaches_the_y_route() -> None:
+    # the y law above checks nothing unless some sampled sums pass the y gate
+    sums = (boundary_sum(ASSERTED[i], ASSERTED[j]) for i, j in SUM_PAIRS)
+    assert sum(s.standard_position_refusal is None for s in sums) >= 8
 
 
 def slid_alpha_beta(d, seed: int):

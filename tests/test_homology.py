@@ -77,7 +77,6 @@ class TestChainComplexes:
         with pytest.raises(ValueError):
             # d1 then d2 composes to [[1]]
             ChainComplex(
-                ranks=(1, 1, 1, 0),
                 boundaries=(
                     IntMatrix.from_rows([[1]]),
                     IntMatrix.from_rows([[1]]),
@@ -88,13 +87,18 @@ class TestChainComplexes:
         with pytest.raises(ValueError):
             # d2 then d3 composes to [[1]]
             ChainComplex(
-                ranks=(1, 1, 1, 1),
                 boundaries=(
                     IntMatrix.zeros(1, 1),
                     IntMatrix.from_rows([[1]]),
                     IntMatrix.from_rows([[1]]),
                 ),
                 source="z",
+            )
+        with pytest.raises(ValueError, match="shape mismatch"):
+            # d1 leaves a rank-2 group, but d2 lands in a rank-1 one
+            ChainComplex(
+                boundaries=(IntMatrix.zeros(1, 2), IntMatrix.zeros(1, 1), IntMatrix.zeros(1, 0)),
+                source="y",
             )
 
     def test_saturation_precondition_for_small_complex(self) -> None:
@@ -185,7 +189,8 @@ def random_complex(rng: random.Random) -> tuple[ChainComplex, list[tuple[int, li
             rows[k][offset + k] = tk
         adapted = IntMatrix.from_rows(rows, cols=ranks[i + 1])
         boundaries.append(bases[i][0].mul(adapted).mul(bases[i + 1][1]))
-    c = ChainComplex(ranks=tuple(ranks), boundaries=tuple(boundaries), source="random")
+    c = ChainComplex(boundaries=tuple(boundaries), source="random")
+    assert c.ranks == tuple(ranks)
     return c, list(zip(h, t))
 
 
